@@ -1,5 +1,5 @@
 //! Load generator for `blob-serve`: starts the service in-process, hammers
-//! `POST /advise` from keep-alive client threads, and reports throughput
+//! `POST /v1/advise` from keep-alive client threads, and prints throughput
 //! and tail latency. `--min-rps` turns the run into a pass/fail gate, which
 //! is how `ci.sh` asserts the loopback throughput floor.
 //!
@@ -18,7 +18,10 @@
 //!     --shards 3 --kill-one --batch 16 --clients 4 --requests 500
 //! ```
 //!
-//! Results land in `results/serve_load.csv` (one row per run).
+//! The run prints its row and writes nothing: recorded serve performance is
+//! the ledger's `serve_advise`/`serve_threshold` workloads. What stays here
+//! is the two pass/fail gates, the fabric being the one plane the ledger
+//! does not run.
 
 use blob_serve::fabric::BackendProc;
 use blob_serve::http::Limits;
@@ -269,7 +272,7 @@ fn main() {
                     // rotate dimensions so responses vary but stay cheap
                     let body = advise_body(c, i, requests, batch);
                     let req = format!(
-                        "POST /advise HTTP/1.1\r\ncontent-length: {}\r\n\r\n{body}",
+                        "POST /v1/advise HTTP/1.1\r\ncontent-length: {}\r\n\r\n{body}",
                         body.len()
                     );
                     let t0 = Instant::now();
@@ -317,28 +320,6 @@ fn main() {
             None => String::new(),
         }
     );
-
-    let dir = blob_bench::results_dir();
-    std::fs::create_dir_all(&dir).expect("results dir");
-    let path = dir.join("serve_load.csv");
-    let mut csv = String::from(
-        "clients,requests_per_client,server_threads,shards,killed,batch,seconds,rps,calls_per_s,\
-         mean_us,p50_us,p90_us,p99_us,errors,reroutes,hedges\n",
-    );
-    csv.push_str(&format!(
-        "{},{},{},{},{},{},{:.3},{:.0},{calls_per_s:.0},{:.0},{p50},{p90},{p99},{errors},{reroutes},{hedges}\n",
-        args.clients,
-        args.requests,
-        args.server_threads,
-        args.shards,
-        killed.is_some() as u8,
-        args.batch,
-        elapsed,
-        rps,
-        latency.mean_us()
-    ));
-    std::fs::write(&path, csv).expect("write csv");
-    println!("wrote {}", path.display());
 
     match target {
         Target::Single(server) => {

@@ -1,38 +1,22 @@
-//! # blob-bench — experiment drivers for every table and figure
+//! # blob-bench — the experiment registry and the three measurement binaries
 //!
-//! One binary per paper element regenerates it from the calibrated system
-//! models (see `DESIGN.md` §4 for the index):
+//! Every table, figure and extension study of the reproduction is one row of
+//! [`experiments::EXPERIMENTS`]: a name, the paper element it regenerates
+//! from the calibrated system models, and a function that returns the text
+//! and writes its artefacts. That table is the index — `experiments --list`
+//! prints it, and the docs point at it instead of repeating it.
 //!
-//! | Binary            | Paper element |
-//! |-------------------|---------------|
-//! | `table1`          | Table I — α/β runtime study |
-//! | `table3`          | Table III — square GEMM offload thresholds |
-//! | `table4`          | Table IV — square GEMV offload thresholds |
-//! | `table5`          | Table V — non-square GEMM first-threshold iterations |
-//! | `table6`          | Table VI — non-square GEMV first-threshold iterations |
-//! | `fig2`            | Fig 2 — DAWN square SGEMM curves (oneMKL 629 cliff) |
-//! | `fig3`            | Fig 3 — Isambard-AI CPU library comparison |
-//! | `fig4`            | Fig 4 — square DGEMV curves on all systems |
-//! | `fig5`            | Fig 5 — square SGEMV at 128 iterations |
-//! | `fig6`            | Fig 6 — AOCL vs OpenBLAS DGEMV on LUMI |
-//! | `fig7`            | Fig 7 — DAWN implicit vs explicit scaling |
-//! | `fig_timeline`    | supplementary: offload-strategy Gantt timelines |
-//! | `roofline`        | supplementary: per-system rooflines (§IV-C's AI argument) |
-//! | `ext_batched`     | future work §V: batched-BLAS thresholds |
-//! | `ext_matrix_engine` | future work §V: AMX/SME/MMA-class engines |
-//! | `ext_spmv`        | future work §V: sparse SpMV thresholds |
-//! | `ext_trsm`        | related work: Li et al.'s TRSM crossover + transfer critique |
-//! | `ext_hybrid`      | related work: MAGMA-style CPU+GPU splits; MI300A limit |
-//! | `ext_energy`      | related work: energy offload thresholds |
-//! | `ablation_quirks` | counterfactuals: presets with individual quirks removed |
-//! | `fit_presets`     | calibration methodology: coordinate-descent refinement |
-//! | `report`          | per-system markdown reports |
-//! | `all_experiments` | everything above, written to `results/` |
+//! | Binary          | What it does |
+//! |-----------------|--------------|
+//! | `experiments`   | runs registry entries by name, or `all` of them into `results/` |
+//! | `overhead_gate` | the < 1 % disabled-cost gates (fault point, trace span, dispatch decision) against one reference GEMM |
+//! | `serve_load`    | loopback load generator with the `--min-rps` and `--kill-one` gates |
 //!
-//! This library holds the shared sweep/table plumbing plus the
-//! [`microbench`] harness; `benches/` holds microbenchmarks of the *real*
-//! host BLAS kernels built on it.
+//! Performance numbers live in the ledger (`ledger/`, `BENCHMARK.json`), not
+//! here. This library also holds the shared sweep/table plumbing and the
+//! [`microbench`] harness that `benches/` builds on.
 
+pub mod experiments;
 pub mod microbench;
 
 use blob_analysis::{sd_pair_cell, Table};
@@ -48,14 +32,10 @@ pub fn results_dir() -> PathBuf {
         .unwrap_or_else(|| PathBuf::from("results"))
 }
 
-/// The paper's sweep: `-s 1 -d 4096`, every size.
-pub fn paper_sweep(iterations: u32) -> SweepConfig {
-    SweepConfig::paper(iterations)
-}
-
-/// Runs the sweep for one (system, problem, precision, iterations).
+/// Runs the paper's sweep (`-s 1 -d 4096`, every size) for one (system,
+/// problem, precision, iterations).
 pub fn sweep(sys: &SystemModel, problem: Problem, precision: Precision, iters: u32) -> Sweep {
-    run_sweep(sys, problem, precision, &paper_sweep(iters))
+    run_sweep(sys, problem, precision, &SweepConfig::paper(iters))
 }
 
 /// The dominant (reported) dimension of a threshold for the compact `S:D`
@@ -162,8 +142,7 @@ pub fn first_threshold_iteration(
 
 /// Formats a Table V/VI cell, e.g. `1:1`, `8:—`.
 pub fn first_iteration_cell(s: Option<u32>, d: Option<u32>) -> String {
-    let f = |v: Option<u32>| v.map(|x| x.to_string()).unwrap_or_else(|| "—".into());
-    format!("{}:{}", f(s), f(d))
+    format!("{}:{}", experiments::dash(s), experiments::dash(d))
 }
 
 #[cfg(test)]

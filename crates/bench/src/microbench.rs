@@ -175,7 +175,7 @@ fn run_one<F: FnMut()>(options: Options, mut f: F) -> Stats {
 ///
 /// The batched harness above reports throughput-style rates and hides
 /// per-call dispatch costs inside a tight loop; this entry point is for
-/// spawn/dispatch-sensitive latency work (the `perf_gate` binary), where
+/// spawn/dispatch-sensitive latency work (the `overhead_gate` binary), where
 /// the cost of *one* call — thread hand-off included — is the quantity
 /// under test. The median is robust to a descheduled sample.
 pub fn measure_latency<F: FnMut()>(warmup: usize, samples: usize, mut f: F) -> Stats {

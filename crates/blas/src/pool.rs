@@ -67,8 +67,8 @@ use std::time::Duration;
 /// doubled when the SIMD micro-kernels landed: halving the per-flop cost
 /// moves the dispatch crossover up by the same factor. Concretely, with 4
 /// requested threads this sends ≤ 256³ GEMM (34 MFLOP) down the inline
-/// path and splits 512³ (268 MFLOP) four ways — see `BENCH_blas.json` for
-/// the measured crossover.
+/// path and splits 512³ (268 MFLOP) four ways — the ledger's `gemm_band`
+/// and `gemm_large` workloads measure either side of the crossover.
 pub const MIN_FLOPS_PER_THREAD: usize = 32_000_000;
 
 /// Minimum streamed elements a worker must own before bandwidth-bound

@@ -1162,7 +1162,11 @@ mod tests {
         let f = check_file("crates/serve/tests/chaos.rs", src, &Context::default());
         assert!(f.is_empty(), "{f:?}");
         // binaries of other crates are out of scope for this rule
-        let f = check_file("crates/bench/src/bin/fig2.rs", src, &Context::default());
+        let f = check_file(
+            "crates/bench/src/bin/experiments.rs",
+            src,
+            &Context::default(),
+        );
         assert!(f.iter().all(|f| f.rule != "no-unwrap-in-serve"), "{f:?}");
         // panic! and .expect() in a driver binary are the same violation
         let f = check_file(

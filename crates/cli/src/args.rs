@@ -411,10 +411,10 @@ OPTIONS:
                               picks an ephemeral port, printed on startup)
     --threads <N>             worker threads (default: 4)
     --cache-entries <N>       threshold-sweep cache capacity (default: 256)
-    --allow-remote-shutdown   honour POST /shutdown (off by default; CI and
+    --allow-remote-shutdown   honour POST /v1/shutdown (off by default; CI and
                               benches use it for clean teardown)
-    --deadline-ms <N>         per-request budget for POST /advise and
-                              POST /threshold; exceeded -> 503
+    --deadline-ms <N>         per-request budget for POST /v1/advise and
+                              POST /v1/threshold; exceeded -> 503
                               (default: 10000)
     --fault-plan <SPEC>       install a deterministic fault plan (chaos
                               testing; overrides GPU_BLOB_FAULTS)
@@ -428,9 +428,8 @@ OPTIONS:
                               (default: 50; requires --shards)
     -h, --help                this help
 
-ENDPOINTS (all under /v1/; bare legacy paths still answer, with a
-Deprecation header; with --shards the router also serves GET /v1/fabric
-and proxies the rest to the backend replicas):
+ENDPOINTS (all under /v1/; with --shards the router also serves
+GET /v1/fabric and proxies the rest to the backend replicas):
     POST /v1/advise      one BLAS call -> offload verdict
     POST /v1/threshold   (system, problem, precision, sweep) -> threshold table
     POST /v1/dispatch    one BLAS call -> live cpu/gpu routing decision

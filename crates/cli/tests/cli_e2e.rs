@@ -316,9 +316,9 @@ fn serve_help_lists_endpoints() {
     for needle in [
         "--addr",
         "--cache-entries",
-        "/advise",
-        "/threshold",
-        "/metrics",
+        "/v1/advise",
+        "/v1/threshold",
+        "/v1/metrics",
     ] {
         assert!(stdout.contains(needle), "missing {needle}");
     }

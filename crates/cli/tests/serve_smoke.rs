@@ -106,12 +106,12 @@ fn full_service_lifecycle_with_cache_hit() {
     let server = ServerUnderTest::spawn();
 
     // healthz
-    let (status, body) = server.request("GET", "/healthz", "");
+    let (status, body) = server.request("GET", "/v1/healthz", "");
     assert_eq!(status, 200, "{body}");
     assert!(body.contains(r#""ok":true"#), "{body}");
 
     // systems lists the paper's machines
-    let (status, body) = server.request("GET", "/systems", "");
+    let (status, body) = server.request("GET", "/v1/systems", "");
     assert_eq!(status, 200);
     for name in ["dawn", "lumi", "isambard-ai", "mi300a"] {
         assert!(body.contains(name), "missing {name} in {body}");
@@ -120,7 +120,7 @@ fn full_service_lifecycle_with_cache_hit() {
     // advise: a big GEMM on Isambard-AI must say offload
     let (status, body) = server.request(
         "POST",
-        "/advise",
+        "/v1/advise",
         r#"{"system":"isambard-ai","op":"gemm","m":2048,"n":2048,"k":2048,"precision":"f32","iterations":32}"#,
     );
     assert_eq!(status, 200, "{body}");
@@ -128,12 +128,12 @@ fn full_service_lifecycle_with_cache_hit() {
 
     // threshold twice: the second must be a cache hit and much faster
     let req = r#"{"system":"lumi","problem":"gemm_square","precision":"f32","iterations":8,"max_dim":2048}"#;
-    let (status, first) = server.request("POST", "/threshold", req);
+    let (status, first) = server.request("POST", "/v1/threshold", req);
     assert_eq!(status, 200, "{first}");
     assert!(first.contains(r#""cached":false"#), "{first}");
     let miss_us = num_after(&first, "", "compute_us");
 
-    let (status, second) = server.request("POST", "/threshold", req);
+    let (status, second) = server.request("POST", "/v1/threshold", req);
     assert_eq!(status, 200);
     assert!(second.contains(r#""cached":true"#), "{second}");
     let hit_us = num_after(&second, "", "compute_us");
@@ -153,7 +153,7 @@ fn full_service_lifecycle_with_cache_hit() {
     );
 
     // metrics agree: exactly one hit, one miss, and our request counts
-    let (status, metrics) = server.request("GET", "/metrics", "");
+    let (status, metrics) = server.request("GET", "/v1/metrics", "");
     assert_eq!(status, 200);
     assert_eq!(num_after(&metrics, "\"cache\":", "hits"), 1.0, "{metrics}");
     assert_eq!(num_after(&metrics, "\"cache\":", "misses"), 1.0);
@@ -162,7 +162,7 @@ fn full_service_lifecycle_with_cache_hit() {
     assert!(num_after(&metrics, "\"threshold\":", "p99_us") > 0.0);
 
     // clean shutdown via the endpoint; the process must exit on its own
-    let (status, body) = server.request("POST", "/shutdown", "");
+    let (status, body) = server.request("POST", "/v1/shutdown", "");
     assert_eq!(status, 200, "{body}");
     let mut server = server;
     let deadline = std::time::Instant::now() + Duration::from_secs(10);

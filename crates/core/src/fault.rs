@@ -15,8 +15,8 @@
 //!
 //! When no plan is loaded, a point is one relaxed atomic load and a
 //! predictable branch (the same zero-cost pattern as
-//! `blob_blas::perturb::point`); `fault_gate` in `blob-bench` proves the
-//! disabled cost stays irrelevant next to the gated small-GEMM latencies.
+//! `blob_blas::perturb::point`); `overhead_gate` in `blob-bench` proves the
+//! disabled cost stays under 1% of a 64³ four-thread GEMM call.
 //!
 //! ## Plan grammar
 //!

@@ -16,9 +16,9 @@
 //!   span stack empties, i.e. at the end of a root span such as one pool
 //!   job or one serve request.
 //! - **Disabled means free.** [`span`] checks one relaxed atomic load
-//!   and returns an inert guard; the `trace_gate` bench (`blob-bench`)
-//!   proves the cost is <1% of the smallest gated GEMM call, exactly
-//!   like `fault_gate` does for the fault plane.
+//!   and returns an inert guard; `blob-bench`'s `overhead_gate` proves
+//!   the cost is <1% of a 64³ four-thread GEMM call, in the same table
+//!   that holds the fault plane to the same budget.
 //! - **`blob-blas` stays below this crate.** The kernels report their
 //!   pool and pack/compute seams through [`blob_blas::tracehook`];
 //!   [`enable`] installs closures bridging those hooks to this module.
@@ -217,7 +217,7 @@ impl Drop for SpanGuard {
 }
 
 /// Opens a span. The fast path — tracing disabled — is a single relaxed
-/// atomic load; `trace_gate` holds it to <1% of the smallest gated GEMM.
+/// atomic load; `overhead_gate` holds it to <1% of a 64³ four-thread GEMM.
 #[inline]
 pub fn span(name: &'static str, cat: &'static str) -> SpanGuard {
     if !ACTIVE.load(Ordering::Relaxed) {

@@ -8,10 +8,10 @@
 //! through a [`Dispatcher`](crate::Dispatcher) so no call can bypass the
 //! decision model, its history recording, or its counters.
 
-use blob_blas::scalar::Precision;
-use blob_blas::{gemm_emul, gemm_parallel, gemv_emul, gemv_parallel, ContractError, Scalar};
+use blob_blas::{gemm_parallel, gemv_parallel, ContractError, Scalar};
+use blob_core::backend::{Backend, HostCpu};
 use blob_sim::firsttouch::FirstTouchModel;
-use blob_sim::{BlasCall, Kernel, SystemModel};
+use blob_sim::{BlasCall, SystemModel};
 use std::time::Instant;
 
 /// Sanctioned CPU route for GEMM: runs the real parallel kernel on the
@@ -54,48 +54,6 @@ pub fn route_cpu_gemv<T: Scalar>(
 ) -> Result<f64, ContractError> {
     let start = Instant::now();
     gemv_parallel(threads, m, n, alpha, a, lda, x, incx, beta, y, incy)?;
-    Ok(start.elapsed().as_secs_f64())
-}
-
-/// Sanctioned CPU route for Ozaki emulated-f64 GEMM: runs the sliced
-/// kernel (tagged with `precision`) and returns realized seconds.
-#[allow(clippy::too_many_arguments)]
-pub fn route_cpu_gemm_emul(
-    precision: Precision,
-    m: usize,
-    n: usize,
-    k: usize,
-    alpha: f64,
-    a: &[f64],
-    lda: usize,
-    b: &[f64],
-    ldb: usize,
-    beta: f64,
-    c: &mut [f64],
-    ldc: usize,
-) -> Result<f64, ContractError> {
-    let start = Instant::now();
-    gemm_emul(precision, m, n, k, alpha, a, lda, b, ldb, beta, c, ldc)?;
-    Ok(start.elapsed().as_secs_f64())
-}
-
-/// Sanctioned CPU route for Ozaki emulated-f64 GEMV.
-#[allow(clippy::too_many_arguments)]
-pub fn route_cpu_gemv_emul(
-    precision: Precision,
-    m: usize,
-    n: usize,
-    alpha: f64,
-    a: &[f64],
-    lda: usize,
-    x: &[f64],
-    incx: isize,
-    beta: f64,
-    y: &mut [f64],
-    incy: isize,
-) -> Result<f64, ContractError> {
-    let start = Instant::now();
-    gemv_emul(precision, m, n, alpha, a, lda, x, incx, beta, y, incy)?;
     Ok(start.elapsed().as_secs_f64())
 }
 
@@ -165,9 +123,9 @@ impl Executor for ModelExecutor {
     }
 }
 
-/// Real-CPU executor: the CPU route runs this workspace's own kernels
-/// (wall-clock timed) on scratch buffers sized to the call, while the
-/// GPU route stays modelled on a twin [`SystemModel`] — the simulation
+/// Real-CPU executor: the CPU route is [`HostCpu`] (this workspace's own
+/// kernels, wall-clock timed on scratch buffers sized to the call), while
+/// the GPU route stays modelled on a twin [`SystemModel`] — the simulation
 /// stands in for hardware this environment does not have.
 #[derive(Debug, Clone)]
 pub struct HostExecutor {
@@ -185,63 +143,6 @@ impl HostExecutor {
             twin,
         }
     }
-
-    fn run_cpu_typed<T: Scalar>(&self, call: &BlasCall) -> f64 {
-        let alpha = T::from_f64(call.alpha);
-        let beta = T::from_f64(call.beta);
-        match call.kernel {
-            Kernel::Gemm { m, n, k } => {
-                let a = vec![T::from_f64(0.5); m * k];
-                let b = vec![T::from_f64(0.25); k * n];
-                let mut c = vec![T::ZERO; m * n];
-                // Buffers are sized to the call right above, so the
-                // contract holds by construction.
-                let t = route_cpu_gemm(self.threads, m, n, k, alpha, &a, m, &b, k, beta, &mut c, m)
-                    .unwrap_or(0.0);
-                std::hint::black_box(&c);
-                t
-            }
-            Kernel::Gemv { m, n } => {
-                let a = vec![T::from_f64(0.5); m * n];
-                let x = vec![T::from_f64(0.25); n];
-                let mut y = vec![T::ZERO; m];
-                // Tight layout built above; the contract holds by
-                // construction.
-                let t = route_cpu_gemv(self.threads, m, n, alpha, &a, m, &x, 1, beta, &mut y, 1)
-                    .unwrap_or(0.0);
-                std::hint::black_box(&y);
-                t
-            }
-        }
-    }
-
-    fn run_cpu_emul(&self, call: &BlasCall) -> f64 {
-        let precision = call.precision;
-        match call.kernel {
-            Kernel::Gemm { m, n, k } => {
-                let a = vec![0.5f64; m * k];
-                let b = vec![0.25f64; k * n];
-                let mut c = vec![0.0f64; m * n];
-                let t = route_cpu_gemm_emul(
-                    precision, m, n, k, call.alpha, &a, m, &b, k, call.beta, &mut c, m,
-                )
-                .unwrap_or(0.0);
-                std::hint::black_box(&c);
-                t
-            }
-            Kernel::Gemv { m, n } => {
-                let a = vec![0.5f64; m * n];
-                let x = vec![0.25f64; n];
-                let mut y = vec![0.0f64; m];
-                let t = route_cpu_gemv_emul(
-                    precision, m, n, call.alpha, &a, m, &x, 1, call.beta, &mut y, 1,
-                )
-                .unwrap_or(0.0);
-                std::hint::black_box(&y);
-                t
-            }
-        }
-    }
 }
 
 impl Executor for HostExecutor {
@@ -250,14 +151,7 @@ impl Executor for HostExecutor {
     }
 
     fn run_cpu(&mut self, call: &BlasCall) -> f64 {
-        match call.precision {
-            Precision::F32 => self.run_cpu_typed::<f32>(call),
-            Precision::F64 => self.run_cpu_typed::<f64>(call),
-            // half storage runs the same generic routed kernels
-            Precision::Bf16 => self.run_cpu_typed::<blob_blas::Bf16>(call),
-            Precision::F16 => self.run_cpu_typed::<blob_blas::F16>(call),
-            Precision::F64Emul(_) => self.run_cpu_emul(call),
-        }
+        HostCpu::with_threads(self.threads).cpu_seconds(call, 1)
     }
 
     fn cpu_estimate(&self, call: &BlasCall) -> f64 {
@@ -278,7 +172,7 @@ impl Executor for HostExecutor {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use blob_sim::presets;
+    use blob_sim::{presets, Precision};
 
     #[test]
     fn model_executor_matches_system_model() {
@@ -314,6 +208,15 @@ mod tests {
         assert!(e.run_cpu(&gemm) > 0.0);
         assert!(e.run_cpu(&gemv) > 0.0);
         assert!(e.gpu_warm_seconds(&gemm).is_some());
+    }
+
+    #[test]
+    fn host_executor_times_extended_precisions() {
+        let mut e = HostExecutor::new(1, presets::isambard_ai());
+        for precision in [Precision::Bf16, Precision::F64Emul(3)] {
+            assert!(e.run_cpu(&BlasCall::gemm(precision, 48, 48, 48)) > 0.0);
+            assert!(e.run_cpu(&BlasCall::gemv(precision, 64, 64)) > 0.0);
+        }
     }
 
     #[test]

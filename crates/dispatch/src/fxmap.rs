@@ -1,6 +1,6 @@
 //! A fast, non-cryptographic hasher for the dispatcher's hot maps.
 //!
-//! The decide/complete round trip is gated (`dispatch_gate`) at < 1% of
+//! The decide/complete round trip is gated (`overhead_gate`) at < 1% of
 //! one `gemm_par4_64` call, and with the default SipHash the five-or-so
 //! map operations per round trip are most of that budget. The keys here
 //! are small integers and tiny structs the dispatcher itself constructs

@@ -5,9 +5,8 @@
 //!
 //! ## v1 wire surface
 //!
-//! Every route lives under the `/v1/` prefix. The bare legacy paths
-//! (`/healthz`, `/advise`, …) keep answering identically but carry a
-//! `Deprecation: true` response header; new clients should use `/v1/`.
+//! Every route lives under the `/v1/` prefix; anything else — the bare
+//! `/healthz`, `/advise`, … included — is a `404 not_found`.
 //!
 //! | route | method | body |
 //! |-------|--------|------|
@@ -281,12 +280,12 @@ impl App {
             );
         }
         let started = Instant::now();
-        // v1 surface: strip the prefix; bare legacy paths still route but
-        // are marked deprecated below.
+        // Every route lives under `/v1/`; a path without the prefix
+        // matches nothing below.
         let full_path = req.path();
-        let (path, legacy) = match full_path.strip_prefix("/v1") {
-            Some(rest) if rest.starts_with('/') => (rest, false),
-            _ => (full_path, true),
+        let path = match full_path.strip_prefix("/v1") {
+            Some(rest) if rest.starts_with('/') => rest,
+            _ => "",
         };
         let (label, result): (&'static str, Result<Response, ApiError>) =
             match (req.method.as_str(), path) {
@@ -324,13 +323,10 @@ impl App {
                     )),
                 ),
             };
-        let mut response = match result {
+        let response = match result {
             Ok(r) => r,
             Err(e) => envelope::error_response(e.status, e.code, &e.message, trace_id),
         };
-        if legacy && label != "other" {
-            response = response.with_header("deprecation", "true");
-        }
         (response, label)
     }
 
@@ -817,11 +813,11 @@ mod tests {
     #[test]
     fn healthz_and_systems() {
         let a = app();
-        let (r, label) = a.handle(&get("/healthz"));
+        let (r, label) = a.handle(&get("/v1/healthz"));
         assert_eq!((r.status, label), (200, "healthz"));
         assert_eq!(body_json(&r).get("ok").and_then(Json::as_bool), Some(true));
 
-        let (r, _) = a.handle(&get("/systems"));
+        let (r, _) = a.handle(&get("/v1/systems"));
         let systems = body_json(&r);
         let items = systems
             .get("systems")
@@ -837,30 +833,37 @@ mod tests {
     }
 
     #[test]
-    fn v1_routes_answer_and_legacy_aliases_carry_deprecation() {
+    fn only_v1_paths_route_bare_paths_are_not_found() {
         let a = app();
         for path in ["/v1/healthz", "/v1/systems", "/v1/metrics"] {
             let (r, _) = a.handle(&get(path));
             assert_eq!(r.status, 200, "{path}");
-            assert_eq!(r.header("deprecation"), None, "{path} is not deprecated");
         }
-        let (r, label) = a.handle(&get("/healthz"));
-        assert_eq!((r.status, label), (200, "healthz"));
-        assert_eq!(r.header("deprecation"), Some("true"));
-        // v1 advise answers identically to the legacy alias
+        // the body the bare alias and the /v1 route both returned before
+        // the alias went away, byte for byte
         let body = r#"{"system":"dawn","op":"gemm","m":64,"n":64,"k":64,"precision":"f32"}"#;
-        let (v1, _) = a.handle(&post("/v1/advise", body));
-        let (old, _) = a.handle(&post("/advise", body));
-        assert_eq!(v1.status, 200);
-        assert_eq!(old.status, 200);
-        assert_eq!(old.header("deprecation"), Some("true"));
+        let (v1, label) = a.handle(&post("/v1/advise", body));
+        assert_eq!((v1.status, label), (200, "advise"));
         assert_eq!(
-            body_json(&v1).get("verdict"),
-            body_json(&old).get("verdict")
+            String::from_utf8_lossy(&v1.body),
+            concat!(
+                r#"{"system":"DAWN","call":{"op":"gemm","m":64,"n":64,"k":64,"precision":"f32","#,
+                r#""alpha":1,"beta":0},"iterations":1,"offload":"once","cpu_seconds":0.00001288,"#,
+                r#""gpu_seconds":0.0000349284841025641,"speedup":0.3687534781692538,"#,
+                r#""verdict":"stay-on-cpu","summary":"stay on the CPU (2.71x slower on the GPU)"}"#,
+            ),
         );
-        // "/v1healthz" is not a v1 route — and not a legacy one either
-        let (r, _) = a.handle(&get("/v1healthz"));
-        assert_eq!(r.status, 404);
+        // bare paths, and "/v1healthz", are unknown routes like any other
+        let bare = [get("/healthz"), get("/metrics"), post("/advise", body)];
+        for req in bare.iter().chain([&get("/v1healthz"), &get("/v1")]) {
+            let (r, label) = a.handle(req);
+            assert_eq!((r.status, label), (404, "other"), "{}", req.target);
+            assert_eq!(
+                error_obj(&r).get("code").and_then(Json::as_str),
+                Some("not_found")
+            );
+            assert!(r.header(envelope::TRACE_HEADER).is_some());
+        }
     }
 
     #[test]
@@ -967,7 +970,7 @@ mod tests {
     fn advise_on_cpu_only_system_says_no_gpu() {
         let a = app();
         let (r, _) = a.handle(&post(
-            "/advise",
+            "/v1/advise",
             r#"{"system":"isambard-ai-armpl","op":"gemv","m":512,"n":512,"precision":"f64"}"#,
         ));
         assert_eq!(r.status, 200);
@@ -1117,8 +1120,7 @@ mod tests {
         assert_eq!(j1.get("cached").and_then(Json::as_bool), Some(false));
         assert_eq!(j1.get("sweep_points").and_then(Json::as_u64), Some(128));
 
-        // the legacy alias shares the cache with the v1 route
-        let (r2, _) = a.handle(&post("/threshold", body));
+        let (r2, _) = a.handle(&post("/v1/threshold", body));
         let j2 = body_json(&r2);
         assert_eq!(j2.get("cached").and_then(Json::as_bool), Some(true));
         // identical payload apart from the per-request fields
@@ -1163,9 +1165,9 @@ mod tests {
         let a = app();
         let (r, label) = a.handle(&get("/nope"));
         assert_eq!((r.status, label), (404, "other"));
-        let (r, _) = a.handle(&get("/advise"));
+        let (r, _) = a.handle(&get("/v1/advise"));
         assert_eq!(r.status, 405);
-        let (r, _) = a.handle(&post("/healthz", "{}"));
+        let (r, _) = a.handle(&post("/v1/healthz", "{}"));
         assert_eq!(r.status, 405);
     }
 
@@ -1223,7 +1225,7 @@ mod tests {
         assert!(!gated.shutdown_requested());
 
         let open = App::new(4, 1, true);
-        let (r, _) = open.handle(&post("/shutdown", ""));
+        let (r, _) = open.handle(&post("/v1/shutdown", ""));
         assert_eq!(r.status, 200);
         assert!(open.shutdown_requested());
     }

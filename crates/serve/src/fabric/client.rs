@@ -414,7 +414,9 @@ mod tests {
     fn pool_caps_idle_connections_and_clears() {
         let listener = TcpListener::bind("127.0.0.1:0").unwrap();
         let addr = listener.local_addr().unwrap();
-        std::thread::spawn(move || while listener.accept().is_ok() {});
+        // hold the accepted sockets open (the never-finished Vec owns them):
+        // a dropped peer reads as EOF and `take` would discard the connection
+        std::thread::spawn(move || drop(listener.incoming().collect::<Vec<_>>()));
         let pool = Pool::new(2);
         assert!(pool.take().is_none());
         for _ in 0..3 {

@@ -687,16 +687,24 @@ impl Router {
     }
 
     fn route(&self, req: &Request, trace_id: &str) -> (Response, &'static str) {
+        // Like `App::route`: only `/v1/` paths exist. A path without the
+        // prefix becomes "", which the router answers itself below rather
+        // than spending a backend round trip on it.
         let full_path = req.path();
         let path = match full_path.strip_prefix("/v1") {
             Some(rest) if rest.starts_with('/') => rest,
-            _ => full_path,
+            _ => "",
         };
         match (req.method.as_str(), path) {
             ("GET", "/healthz") => (self.healthz(), "healthz"),
             ("GET", "/metrics") => (self.metrics_doc(), "metrics"),
             ("GET", "/fabric") => (self.fabric_doc(), "fabric"),
             ("POST", "/shutdown") => (self.shutdown_doc(trace_id), "shutdown"),
+            (_, "") => {
+                let message = format!("no such route: {full_path}");
+                let not_found = envelope::error_response(404, codes::NOT_FOUND, &message, trace_id);
+                (not_found, "other")
+            }
             (_, "/healthz" | "/metrics" | "/fabric" | "/shutdown") => (
                 envelope::error_response(
                     405,
@@ -759,8 +767,8 @@ fn replica_json(id: usize, s: &Shard) -> Json {
 }
 
 /// Converts an upstream response into a downstream [`Response`],
-/// preserving the trace and deprecation headers and stamping the shard
-/// that answered into `x-blob-shard`.
+/// preserving the trace header and stamping the shard that answered into
+/// `x-blob-shard`.
 fn relay(upstream: UpstreamResponse, shard: usize) -> Response {
     let content_type = upstream.header("content-type").unwrap_or_default();
     let mut resp = Response {
@@ -776,9 +784,6 @@ fn relay(upstream: UpstreamResponse, shard: usize) -> Response {
     };
     if let Some(v) = upstream.header(envelope::TRACE_HEADER) {
         resp = resp.with_header(envelope::TRACE_HEADER, v.to_string());
-    }
-    if let Some(v) = upstream.header("deprecation") {
-        resp = resp.with_header("deprecation", v.to_string());
     }
     resp = resp.with_header("x-blob-shard", shard.to_string());
     resp.body = upstream.body;

@@ -256,7 +256,7 @@ pub struct Response {
     /// `Content-Type` header value.
     pub content_type: &'static str,
     /// Extra headers emitted after `content-type` (e.g. `X-Blob-Trace`,
-    /// `Deprecation`). Names are emitted as given; keep them lower-case.
+    /// `X-Blob-Shard`). Names are emitted as given; keep them lower-case.
     pub headers: Vec<(&'static str, String)>,
     /// The body bytes.
     pub body: Vec<u8>,

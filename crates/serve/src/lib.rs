@@ -15,8 +15,7 @@
 //! - [`http`] — transport: byte streams in, [`http::Request`] out,
 //!   [`http::Response`] back, with hard limits and timeouts
 //! - [`api`] — the versioned (`/v1/`) endpoints, pure `Request →
-//!   Response` (no sockets); legacy bare paths answer with a
-//!   `Deprecation` header
+//!   Response` (no sockets)
 //! - [`envelope`] — the uniform JSON error envelope and its stable
 //!   error-code vocabulary; every response carries an `X-Blob-Trace` id
 //! - [`cache`] / [`metrics`] — shared state behind the API

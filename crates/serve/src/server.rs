@@ -456,7 +456,10 @@ mod tests {
     fn serves_healthz_and_shuts_down() {
         let server = Server::start(test_config()).unwrap();
         let addr = server.local_addr();
-        let reply = roundtrip(addr, "GET /healthz HTTP/1.1\r\nconnection: close\r\n\r\n");
+        let reply = roundtrip(
+            addr,
+            "GET /v1/healthz HTTP/1.1\r\nconnection: close\r\n\r\n",
+        );
         assert!(reply.starts_with("HTTP/1.1 200 OK"), "{reply}");
         assert!(reply.contains(r#""ok":true"#), "{reply}");
         server.shutdown();
@@ -468,7 +471,7 @@ mod tests {
             TcpStream::connect_timeout(&addr, Duration::from_millis(200))
                 .map(|mut s| {
                     // Even if the backlog accepted us, nobody will answer.
-                    let _ = s.write_all(b"GET /healthz HTTP/1.1\r\n\r\n");
+                    let _ = s.write_all(b"GET /v1/healthz HTTP/1.1\r\n\r\n");
                     let _ = s.set_read_timeout(Some(Duration::from_millis(200)));
                     let mut buf = [0u8; 1];
                     !matches!(s.read(&mut buf), Ok(n) if n > 0)
@@ -481,7 +484,10 @@ mod tests {
     fn post_shutdown_stops_the_server() {
         let server = Server::start(test_config()).unwrap();
         let addr = server.local_addr();
-        let reply = roundtrip(addr, "POST /shutdown HTTP/1.1\r\nconnection: close\r\n\r\n");
+        let reply = roundtrip(
+            addr,
+            "POST /v1/shutdown HTTP/1.1\r\nconnection: close\r\n\r\n",
+        );
         assert!(reply.contains("shutting_down"), "{reply}");
         server.join(); // returns because /shutdown triggered the signal
     }
@@ -520,7 +526,7 @@ mod tests {
         let mut s = TcpStream::connect(server.local_addr()).unwrap();
         s.set_read_timeout(Some(Duration::from_secs(2))).unwrap();
         for _ in 0..3 {
-            s.write_all(b"GET /healthz HTTP/1.1\r\n\r\n").unwrap();
+            s.write_all(b"GET /v1/healthz HTTP/1.1\r\n\r\n").unwrap();
             let text = read_one_response(&mut s);
             assert!(text.starts_with("HTTP/1.1 200 OK"), "{text}");
             assert!(text.contains("connection: keep-alive"), "{text}");

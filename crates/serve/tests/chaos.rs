@@ -60,7 +60,7 @@ fn injected_handler_panic_is_contained_as_500() {
     let _g = chaos_guard();
     install("serve.handle:panic@1x1");
     let app = App::new(4, 1, false);
-    let (r, label) = app.handle(&get("/healthz"));
+    let (r, label) = app.handle(&get("/v1/healthz"));
     assert_eq!((r.status, label), (500, "other"));
     assert_eq!(
         app.metrics
@@ -71,7 +71,7 @@ fn injected_handler_panic_is_contained_as_500() {
     );
     // the app keeps serving: the next request (budget spent) is normal,
     // and healthz reports the degradation without going un-ok
-    let (r, _) = app.handle(&get("/healthz"));
+    let (r, _) = app.handle(&get("/v1/healthz"));
     assert_eq!(r.status, 200);
     let j = body_json(&r);
     assert_eq!(j.get("ok").and_then(Json::as_bool), Some(true));
@@ -84,7 +84,7 @@ fn sweep_retries_recover_from_transient_faults() {
     let _g = chaos_guard();
     install("serve.sweep:error@1x2"); // first two attempts fail, third works
     let app = App::new(4, 1, false);
-    let (r, _) = app.handle(&post("/threshold", TINY_SWEEP));
+    let (r, _) = app.handle(&post("/v1/threshold", TINY_SWEEP));
     assert_eq!(r.status, 200, "{}", String::from_utf8_lossy(&r.body));
     let j = body_json(&r);
     assert_eq!(j.get("cached").and_then(Json::as_bool), Some(false));
@@ -104,7 +104,7 @@ fn sweep_retry_exhaustion_is_a_503() {
     let _g = chaos_guard();
     install("serve.sweep:error@1"); // every attempt fails
     let app = App::new(4, 1, false);
-    let (r, _) = app.handle(&post("/threshold", TINY_SWEEP));
+    let (r, _) = app.handle(&post("/v1/threshold", TINY_SWEEP));
     assert_eq!(r.status, 503);
     let err = body_json(&r).get("error").cloned().unwrap();
     assert_eq!(
@@ -131,19 +131,19 @@ fn sweep_retry_exhaustion_is_a_503() {
 fn cache_read_fault_degrades_to_a_recompute() {
     let _g = chaos_guard();
     let app = App::new(16, 4, false);
-    let (r1, _) = app.handle(&post("/threshold", TINY_SWEEP));
+    let (r1, _) = app.handle(&post("/v1/threshold", TINY_SWEEP));
     assert_eq!(
         body_json(&r1).get("cached").and_then(Json::as_bool),
         Some(false)
     );
-    let (r2, _) = app.handle(&post("/threshold", TINY_SWEEP));
+    let (r2, _) = app.handle(&post("/v1/threshold", TINY_SWEEP));
     assert_eq!(
         body_json(&r2).get("cached").and_then(Json::as_bool),
         Some(true)
     );
 
     install("serve.cache:error@1");
-    let (r3, _) = app.handle(&post("/threshold", TINY_SWEEP));
+    let (r3, _) = app.handle(&post("/v1/threshold", TINY_SWEEP));
     assert_eq!(r3.status, 200);
     let j3 = body_json(&r3);
     // the broken cache was treated as a miss — recomputed, same numbers
@@ -209,16 +209,16 @@ fn server_stays_available_under_a_mixed_fault_plan() {
     let mut served = 0;
     for i in 0..40 {
         let request = match i % 3 {
-            0 => "GET /healthz HTTP/1.1\r\nconnection: close\r\n\r\n".to_string(),
+            0 => "GET /v1/healthz HTTP/1.1\r\nconnection: close\r\n\r\n".to_string(),
             1 => {
                 let body = r#"{"system":"lumi","op":"gemm","m":256,"n":256,"k":256,"precision":"f32"}"#;
                 format!(
-                    "POST /advise HTTP/1.1\r\ncontent-length: {}\r\nconnection: close\r\n\r\n{body}",
+                    "POST /v1/advise HTTP/1.1\r\ncontent-length: {}\r\nconnection: close\r\n\r\n{body}",
                     body.len()
                 )
             }
             _ => format!(
-                "POST /threshold HTTP/1.1\r\ncontent-length: {}\r\nconnection: close\r\n\r\n{threshold_body}",
+                "POST /v1/threshold HTTP/1.1\r\ncontent-length: {}\r\nconnection: close\r\n\r\n{threshold_body}",
                 threshold_body.len()
             ),
         };
@@ -241,7 +241,7 @@ fn server_stays_available_under_a_mixed_fault_plan() {
     fault::clear();
     let status = roundtrip_status(
         addr,
-        "GET /healthz HTTP/1.1\r\nconnection: close\r\n\r\n",
+        "GET /v1/healthz HTTP/1.1\r\nconnection: close\r\n\r\n",
         deadline,
     );
     assert_eq!(status, 200);
@@ -261,7 +261,7 @@ fn dead_http_workers_are_replaced() {
     for _ in 0..3 {
         let status = roundtrip_status(
             addr,
-            "GET /healthz HTTP/1.1\r\nconnection: close\r\n\r\n",
+            "GET /v1/healthz HTTP/1.1\r\nconnection: close\r\n\r\n",
             deadline,
         );
         assert_eq!(status, 200);

@@ -145,6 +145,14 @@ fn fabric_front_serves_own_endpoints_and_proxies_the_rest() {
     let metrics = http_get(fabric.local_addr(), "/v1/metrics");
     assert!(metrics.contains("\"fabric\""), "{metrics}");
 
+    // no bare aliases: the router answers them itself, traced, with the
+    // envelope any unknown path gets
+    let bare = http_get(fabric.local_addr(), "/healthz");
+    assert!(bare.starts_with("HTTP/1.1 404 "), "{bare}");
+    assert!(bare.contains("x-blob-trace: "), "{bare}");
+    assert!(bare.contains("\"code\":\"not_found\""), "{bare}");
+    assert!(!bare.contains("x-blob-shard"), "{bare}");
+
     fabric.shutdown();
     fabric.join();
     for b in backends {

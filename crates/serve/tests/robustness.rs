@@ -51,14 +51,14 @@ fn oversized_body_gets_413_not_a_panic() {
     // the Content-Length header alone, without us sending a single body byte.
     let reply = raw_roundtrip(
         &server,
-        b"POST /advise HTTP/1.1\r\ncontent-length: 10000000\r\n\r\n",
+        b"POST /v1/advise HTTP/1.1\r\ncontent-length: 10000000\r\n\r\n",
     );
     assert!(reply.starts_with("HTTP/1.1 413 "), "{reply}");
     assert!(reply.contains("connection: close"), "{reply}");
     // the server is still alive
     let reply = raw_roundtrip(
         &server,
-        b"GET /healthz HTTP/1.1\r\nconnection: close\r\n\r\n",
+        b"GET /v1/healthz HTTP/1.1\r\nconnection: close\r\n\r\n",
     );
     assert!(reply.starts_with("HTTP/1.1 200 OK"), "{reply}");
     server.shutdown();
@@ -69,13 +69,13 @@ fn oversized_body_gets_413_not_a_panic() {
 fn malformed_json_gets_400_not_a_panic() {
     let server = start(2_000);
     for body in ["{\"system\": ", "not json at all", "[1,2,3]", "{}"] {
-        let reply = raw_roundtrip(&server, &post("/advise", body));
+        let reply = raw_roundtrip(&server, &post("/v1/advise", body));
         assert!(reply.starts_with("HTTP/1.1 400 "), "body {body:?}: {reply}");
         assert!(reply.contains("\"error\""), "{reply}");
     }
     let reply = raw_roundtrip(
         &server,
-        b"GET /healthz HTTP/1.1\r\nconnection: close\r\n\r\n",
+        b"GET /v1/healthz HTTP/1.1\r\nconnection: close\r\n\r\n",
     );
     assert!(reply.starts_with("HTTP/1.1 200 OK"), "{reply}");
     server.shutdown();
@@ -98,12 +98,12 @@ fn unknown_route_404_wrong_method_405_chunked_501() {
     assert!(reply.starts_with("HTTP/1.1 404 "), "{reply}");
     let reply = raw_roundtrip(
         &server,
-        b"DELETE /advise HTTP/1.1\r\nconnection: close\r\n\r\n",
+        b"DELETE /v1/advise HTTP/1.1\r\nconnection: close\r\n\r\n",
     );
     assert!(reply.starts_with("HTTP/1.1 405 "), "{reply}");
     let reply = raw_roundtrip(
         &server,
-        b"POST /advise HTTP/1.1\r\ntransfer-encoding: chunked\r\n\r\n",
+        b"POST /v1/advise HTTP/1.1\r\ntransfer-encoding: chunked\r\n\r\n",
     );
     assert!(reply.starts_with("HTTP/1.1 501 "), "{reply}");
     server.shutdown();
@@ -194,21 +194,20 @@ fn deadline_exhaustion_envelope_is_a_503_over_a_real_socket() {
 }
 
 #[test]
-fn v1_routes_serve_and_legacy_aliases_are_marked_deprecated() {
+fn v1_routes_serve_over_the_socket_and_bare_paths_are_not_found() {
     let server = start(2_000);
     let reply = raw_roundtrip(
         &server,
         b"GET /v1/healthz HTTP/1.1\r\nconnection: close\r\n\r\n",
     );
     assert!(reply.starts_with("HTTP/1.1 200 OK"), "{reply}");
-    assert!(!reply.contains("deprecation:"), "{reply}");
     assert!(reply.contains("x-blob-trace: "), "{reply}");
     let reply = raw_roundtrip(
         &server,
         b"GET /healthz HTTP/1.1\r\nconnection: close\r\n\r\n",
     );
-    assert!(reply.starts_with("HTTP/1.1 200 OK"), "{reply}");
-    assert!(reply.contains("deprecation: true\r\n"), "{reply}");
+    assert!(reply.starts_with("HTTP/1.1 404 "), "{reply}");
+    assert_eq!(assert_envelope(&reply), "not_found");
     // the trace endpoint answers with a chrome://tracing document
     let reply = raw_roundtrip(
         &server,
@@ -230,7 +229,8 @@ fn slow_loris_is_cut_off_by_the_read_timeout() {
     let started = Instant::now();
     let mut s = TcpStream::connect(server.local_addr()).unwrap();
     // drip one header fragment, then stall forever
-    s.write_all(b"POST /advise HTTP/1.1\r\ncontent-le").unwrap();
+    s.write_all(b"POST /v1/advise HTTP/1.1\r\ncontent-le")
+        .unwrap();
     s.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
     let mut out = Vec::new();
     let _ = s.read_to_end(&mut out); // returns once the server gives up on us
@@ -248,7 +248,7 @@ fn slow_loris_is_cut_off_by_the_read_timeout() {
     // and it still serves the next client
     let reply = raw_roundtrip(
         &server,
-        b"GET /healthz HTTP/1.1\r\nconnection: close\r\n\r\n",
+        b"GET /v1/healthz HTTP/1.1\r\nconnection: close\r\n\r\n",
     );
     assert!(reply.starts_with("HTTP/1.1 200 OK"), "{reply}");
     server.shutdown();
@@ -273,7 +273,7 @@ fn concurrent_clients_all_complete() {
                         m = 16 + c * per_client + i
                     );
                     let req = format!(
-                        "POST /advise HTTP/1.1\r\ncontent-length: {}\r\n\r\n{body}",
+                        "POST /v1/advise HTTP/1.1\r\ncontent-length: {}\r\n\r\n{body}",
                         body.len()
                     );
                     s.write_all(req.as_bytes()).unwrap();
