@@ -27,7 +27,10 @@
 #   7. SIMD agreement           the simd_agreement property suite runs twice:
 #                               once on the detected engine and once under
 #                               GPU_BLOB_NO_SIMD=1, proving the forced-scalar
-#                               path stays bit-identical and correct
+#                               path stays bit-identical and correct; the
+#                               precision_oracle suite runs under it too, so
+#                               the widening and slicing packers are covered
+#                               on the scalar engine
 #   8. tune smoke               gpu-blob tune --quick into a scratch dir:
 #                               the autotuner searches, golden-validates,
 #                               persists, and reload-verifies a profile in
@@ -36,7 +39,10 @@
 #                               (--precision bf16,f64-emul --json) must emit
 #                               one JSON row per precision — the tunable-
 #                               precision plane stays wired through CLI,
-#                               runner and models
+#                               runner and models — and the same sweep on
+#                               --system host for bf16, f16 and f64-emul
+#                               must emit one row per precision whose every
+#                               record has a positive measured CPU time
 #  10. overhead gate            overhead_gate measures one reference kernel
 #                               shape (a 64^3 GEMM on 4 threads) and proves
 #                               a disabled fault point, a disabled trace
@@ -88,8 +94,9 @@ cargo test -q --workspace --offline
 echo "==> ledger self-tests (the benchmark still builds against the workspace)"
 cargo test -q --offline --manifest-path ledger/Cargo.toml
 
-echo "==> SIMD agreement under forced-scalar (GPU_BLOB_NO_SIMD=1)"
+echo "==> SIMD agreement and precision oracle under forced-scalar (GPU_BLOB_NO_SIMD=1)"
 GPU_BLOB_NO_SIMD=1 cargo test -q -p blob-blas --test simd_agreement --offline
+GPU_BLOB_NO_SIMD=1 cargo test -q -p blob-blas --test precision_oracle --offline
 
 echo "==> tune smoke (quick autotune search + profile round trip)"
 TUNE_SMOKE_DIR="$(mktemp -d)"
@@ -98,12 +105,21 @@ cargo run -q --release -p blob-cli --offline -- tune --quick \
     --budget-ms 5000 --dir "$TUNE_SMOKE_DIR"
 ls "$TUNE_SMOKE_DIR"/*.tune > /dev/null
 
-echo "==> precision plane gate (two-size bf16 + emulated-f64 sweep)"
+echo "==> precision plane gate (two-size sweeps: modelled bf16 + emulated-f64, measured host bf16, f16 + emulated-f64)"
 PRECISION_OUT="$(cargo run -q --release -p blob-cli --offline -- \
     --system lumi --problem gemm_square --precision bf16,f64-emul \
     -i 1 -d 2 --json)"
 grep -q '"precision": "bf16"' <<<"$PRECISION_OUT"
 grep -q '"precision": "f64-emul3"' <<<"$PRECISION_OUT"
+HOST_OUT="$(cargo run -q --release -p blob-cli --offline -- \
+    --system host --problem gemm_square --precision bf16,f16,f64-emul \
+    -i 1 -d 2 --json)"
+for p in bf16 f16 f64-emul3; do
+    [ "$(grep -c "\"precision\": \"$p\"" <<<"$HOST_OUT")" -eq 1 ]
+done
+# three precisions x two sizes, each timed on the host
+grep -o '"cpu_seconds": [^,]*' <<<"$HOST_OUT" |
+    awk '{ n++; if ($2 + 0 <= 0) bad++ } END { exit !(n == 6 && bad == 0) }'
 
 echo "==> overhead gate (disabled fault point, disabled trace span, one dispatch decision: each < 1% of gemm_par4_64)"
 cargo run -q --release -p blob-bench --bin overhead_gate --offline

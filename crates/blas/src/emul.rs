@@ -25,12 +25,11 @@
 //! The inner dimension is processed in blocks of [`EMUL_KC`] columns, and
 //! the slice width is chosen as `t = ⌊(23 − ⌈log₂ block⌉)/2⌋` so that every
 //! slice-pair block product fits in f32 integer range without rounding:
-//! `2t + log₂(block) ≤ 23 < 24`. Each of the `K²` slice pairs per block is
-//! one call into the fast f32 [`gemm_blocked`](crate::gemm_blocked); the
-//! exact f32 partial products are recombined in f64 with the separable
-//! scale `2^(τa[i] + τb[j] − (s+r+2)·t)`. The only rounding anywhere is
-//! the final f64 accumulation and the discarded residual beyond slice `K`,
-//! giving a relative accuracy of roughly `2^(−K·t)`:
+//! `2t + log₂(block) ≤ 23 < 24`. The exact f32 partial products are
+//! recombined in f64 with the separable scale `2^(τa[i] + τb[j] − (s+r+2)·t)`.
+//! The only rounding anywhere is the final f64 accumulation and the
+//! discarded residual beyond slice `K`, giving a relative accuracy of
+//! roughly `2^(−K·t)`:
 //!
 //! | slices K | accuracy ≈ | comparable to |
 //! |----------|------------|---------------|
@@ -38,13 +37,27 @@
 //! | 3        | 2⁻²⁷       | ~f32 squared / "f64-lite" |
 //! | 4        | 2⁻³⁶       | approaching f64 |
 //!
+//! ## How it runs
+//!
+//! The slices are cut inside the packer, on the blocked GEMM's f32 path:
+//! for each row block of `A` and column panel of `B`, every element is
+//! sliced once, straight into `K` packed f32 panels per [`EMUL_KC`] block,
+//! laid out for the tuned f32 micro-kernel. Each micro-tile then runs its
+//! `K²` slice-pair micro-kernels per block on those shared panels and folds
+//! every exact f32 tile into an f64 tile accumulator held for the whole
+//! inner dimension, in the order block → `s` → `r`. No dense slice copy,
+//! no m×n temporary and no per-pair GEMM call exists; the tile is stored
+//! once as `α·acc + β·C`.
+//!
 //! Entry points carry an explicit [`Precision`] tag (must be
 //! `Precision::F64Emul(k)`), enforced by `blob-check`'s
 //! `no-untagged-precision` rule — emulation never silently masquerades as
 //! native f64.
 
 use crate::contract::{check_gemm, check_gemv};
+use crate::microkernel::{run_ukernel, Engine, Geometry, MAX_ACC};
 use crate::scalar::Precision;
+use crate::tune;
 use crate::ContractError;
 
 /// Inner-dimension block size for the sliced products. Together with the
@@ -75,7 +88,9 @@ pub struct EmulReport {
     pub slices: u8,
     /// Bits per slice (`t` above).
     pub slice_bits: u32,
-    /// Number of f32 `gemm_blocked` invocations performed.
+    /// Number of exact slice-pair block products, `K²·⌈k/EMUL_KC⌉` — the
+    /// f32 GEMMs the scheme is made of, each an `m × n × EMUL_KC` product
+    /// run tile by tile on the shared packed slices.
     pub f32_gemm_calls: usize,
 }
 
@@ -116,8 +131,157 @@ fn extract_slices(x: f64, t0: i32, t: u32, kk: usize, mut put: impl FnMut(usize,
     }
 }
 
-/// The shared m×n×k core: operands already dense column-major (`A` with
-/// `lda`, `B` k×n with `ldb`), result written as `c = α·(A·B) + β·c`.
+/// The binade scale `τ` of a row or column whose largest magnitude is
+/// `max`; 0 when it is all zero (its slices are all zero, so the value
+/// never matters).
+fn binade(max: f64) -> i32 {
+    if max > 0.0 {
+        tau(max)
+    } else {
+        0
+    }
+}
+
+/// Packs the Ozaki slices of an `mc × k` block of `A` (column-major, `lda`)
+/// into `buf` as ceil(mc/mr) row slivers of height `mr`, each holding, per
+/// [`EMUL_KC`] block of the inner dimension and per slice `s`, the
+/// `kcb × mr` panel [`pack_a`](crate::pack::pack_a) would produce for that
+/// slice. Row `i` is sliced against `ta[i]`; padding rows are zero.
+#[allow(clippy::too_many_arguments)]
+fn pack_a_slices(
+    kk: usize,
+    t: u32,
+    mc: usize,
+    k: usize,
+    a: &[f64],
+    lda: usize,
+    ta: &[i32],
+    mr: usize,
+    buf: &mut Vec<f32>,
+) {
+    let len = kk * k * mr;
+    buf.clear();
+    buf.resize(mc.div_ceil(mr) * len, 0.0);
+    for is in 0..mc.div_ceil(mr) {
+        let sliver = &mut buf[is * len..(is + 1) * len];
+        let i0 = is * mr;
+        for p0 in (0..k).step_by(EMUL_KC) {
+            let kcb = EMUL_KC.min(k - p0);
+            let block = &mut sliver[kk * p0 * mr..kk * (p0 + kcb) * mr];
+            for p in 0..kcb {
+                let col = &a[(p0 + p) * lda..];
+                for i in 0..mr.min(mc - i0) {
+                    extract_slices(col[i0 + i], ta[i0 + i], t, kk, |s, q| {
+                        block[(s * kcb + p) * mr + i] = q;
+                    });
+                }
+            }
+        }
+    }
+}
+
+/// Packs the Ozaki slices of a `k × nc` panel of `B` (column-major, `ldb`)
+/// into `buf` as ceil(nc/nr) column slivers of width `nr`, each holding, per
+/// [`EMUL_KC`] block and per slice `r`, the `kcb × nr` panel
+/// [`pack_b`](crate::pack::pack_b) would produce for that slice. Column `j`
+/// is sliced against `tb[j]`; padding columns are zero.
+#[allow(clippy::too_many_arguments)]
+fn pack_b_slices(
+    kk: usize,
+    t: u32,
+    k: usize,
+    nc: usize,
+    b: &[f64],
+    ldb: usize,
+    tb: &[i32],
+    nr: usize,
+    buf: &mut Vec<f32>,
+) {
+    let len = kk * k * nr;
+    buf.clear();
+    buf.resize(nc.div_ceil(nr) * len, 0.0);
+    for js in 0..nc.div_ceil(nr) {
+        let sliver = &mut buf[js * len..(js + 1) * len];
+        let j0 = js * nr;
+        for j in 0..nr.min(nc - j0) {
+            for p0 in (0..k).step_by(EMUL_KC) {
+                let kcb = EMUL_KC.min(k - p0);
+                let block = &mut sliver[kk * p0 * nr..kk * (p0 + kcb) * nr];
+                for p in 0..kcb {
+                    let x = b[(j0 + j) * ldb + p0 + p];
+                    extract_slices(x, tb[j0 + j], t, kk, |r, q| {
+                        block[(r * kcb + p) * nr + j] = q;
+                    });
+                }
+            }
+        }
+    }
+}
+
+/// Folds one exact f32 slice-pair tile into the f64 tile accumulator:
+/// `acc += p · 2^(exps + sc)` element-wise, where `exps` holds
+/// `τa[i] + τb[j]` (0 on padding).
+///
+/// When every exponent is a normal binade the scale is built from its bits
+/// and a zero partial adds `±0`, which leaves `acc` unchanged (it starts at
+/// `+0` and exact cancellation rounds to `+0`, so it is never `-0`): the
+/// loop vectorises and matches the skip-zero form bit for bit. Otherwise
+/// zero partials must be skipped, as `0 · 2^big` can overflow to NaN.
+fn fold_tile(tile: &[f32], exps: &[i32], exp_range: (i32, i32), sc: i32, acc: &mut [f64]) {
+    let (lo, hi) = exp_range;
+    if lo + sc >= -1022 && hi + sc <= 1023 {
+        for ((a, &p), &e) in acc.iter_mut().zip(tile).zip(exps) {
+            *a += f64::from(p) * f64::from_bits(((e + sc + 1023) as u64) << 52);
+        }
+    } else {
+        for ((a, &p), &e) in acc.iter_mut().zip(tile).zip(exps) {
+            // blob-check: allow(no-float-eq): exact-zero partials must be skipped, not scaled — 0 · 2^big can overflow to NaN
+            if p != 0.0 {
+                *a += f64::from(p) * pow2(e + sc);
+            }
+        }
+    }
+}
+
+/// One micro-tile of the emulated product: per [`EMUL_KC`] block, the
+/// `kk²` slice-pair micro-kernels on the tile's packed slivers, each exact
+/// f32 tile folded into `acc` in the order block → `s` → `r`.
+#[allow(clippy::too_many_arguments)]
+fn tile_product(
+    engine: Engine,
+    geom: Geometry,
+    kk: usize,
+    t: u32,
+    k: usize,
+    a_sl: &[f32],
+    b_sl: &[f32],
+    exps: &[i32],
+    acc: &mut [f64],
+) {
+    let (mr, nr) = (geom.mr, geom.nr);
+    // padding holds 0, so the seed is inside the range anyway
+    let range = exps
+        .iter()
+        .fold((0, 0), |(lo, hi), &e| (lo.min(e), hi.max(e)));
+    for p0 in (0..k).step_by(EMUL_KC) {
+        let kcb = EMUL_KC.min(k - p0);
+        let a_blk = &a_sl[kk * p0 * mr..];
+        let b_blk = &b_sl[kk * p0 * nr..];
+        for s in 0..kk {
+            let a_s = &a_blk[s * kcb * mr..(s + 1) * kcb * mr];
+            for r in 0..kk {
+                let b_r = &b_blk[r * kcb * nr..(r + 1) * kcb * nr];
+                let mut tile = [0.0f32; MAX_ACC];
+                run_ukernel(engine, geom, kcb, a_s, b_r, &mut tile[..mr * nr]);
+                let sc = -((s + r + 2) as i32) * t as i32;
+                fold_tile(&tile[..mr * nr], exps, range, sc, acc);
+            }
+        }
+    }
+}
+
+/// The shared m×n×k core on validated arguments (`A` with `lda`, `B` k×n
+/// with `ldb`): `c = α·(A·B) + β·c`, emulated with `kk` slices per operand.
 #[allow(clippy::too_many_arguments)]
 fn emul_core(
     kk: usize,
@@ -132,7 +296,7 @@ fn emul_core(
     beta: f64,
     c: &mut [f64],
     ldc: usize,
-) -> Result<EmulReport, ContractError> {
+) -> EmulReport {
     let t = slice_bits(k);
     let mut report = EmulReport {
         slices: kk as u8,
@@ -140,95 +304,62 @@ fn emul_core(
         f32_gemm_calls: 0,
     };
     if m == 0 || n == 0 {
-        return Ok(report);
+        return report;
     }
+    report.f32_gemm_calls = kk * kk * k.div_ceil(EMUL_KC);
 
-    // Per-row (A) and per-column (B) binade scales. Zero rows/columns get
-    // τ = 0; their slices are all zero so the value never matters.
-    let mut ta = vec![0i32; m];
-    for (i, ti) in ta.iter_mut().enumerate() {
-        let mut mx = 0.0f64;
-        for j in 0..k {
-            mx = mx.max(a[i + j * lda].abs());
-        }
-        *ti = if mx > 0.0 { tau(mx) } else { 0 };
-    }
-    let mut tb = vec![0i32; n];
-    for (j, tj) in tb.iter_mut().enumerate() {
-        let mut mx = 0.0f64;
-        for i in 0..k {
-            mx = mx.max(b[i + j * ldb].abs());
-        }
-        *tj = if mx > 0.0 { tau(mx) } else { 0 };
-    }
-
-    // Slice the operands: K dense f32 copies each, A m×k (ld m), B k×n (ld k).
-    let mut sa = vec![vec![0.0f32; m * k]; kk];
+    let mut row_max = vec![0.0f64; m];
     for j in 0..k {
-        for i in 0..m {
-            extract_slices(a[i + j * lda], ta[i], t, kk, |s, q| {
-                sa[s][i + j * m] = q;
-            });
+        for (mx, v) in row_max.iter_mut().zip(&a[j * lda..j * lda + m]) {
+            *mx = mx.max(v.abs());
         }
     }
-    let mut sb = vec![vec![0.0f32; k * n]; kk];
-    for j in 0..n {
-        for i in 0..k {
-            extract_slices(b[i + j * ldb], tb[j], t, kk, |s, q| {
-                sb[s][i + j * k] = q;
-            });
-        }
-    }
-
-    // K² fast f32 GEMMs per inner block, recombined exactly in f64.
-    let mut acc = vec![0.0f64; m * n];
-    let mut cpair = vec![0.0f32; m * n];
-    let mut jb = 0usize;
-    while jb < k {
-        let kc = EMUL_KC.min(k - jb);
-        for s in 0..kk {
-            for r in 0..kk {
-                crate::gemm_blocked(
-                    m,
-                    n,
-                    kc,
-                    1.0f32,
-                    &sa[s][jb * m..],
-                    m,
-                    &sb[r][jb..],
-                    k,
-                    0.0f32,
-                    &mut cpair,
-                    m,
-                )?;
-                report.f32_gemm_calls += 1;
-                let sc = -((s + r + 2) as i32) * t as i32;
-                for j in 0..n {
-                    for i in 0..m {
-                        let p = cpair[i + j * m] as f64;
-                        // blob-check: allow(no-float-eq): exact-zero partials must be skipped, not scaled — 0 · 2^big can overflow to NaN
-                        if p != 0.0 {
-                            acc[i + j * m] += p * pow2(ta[i] + tb[j] + sc);
+    let ta: Vec<i32> = row_max.into_iter().map(binade).collect();
+    let tb: Vec<i32> = (0..n)
+        .map(|j| binade((0..k).fold(0.0f64, |mx, i| mx.max(b[i + j * ldb].abs()))))
+        .collect();
+    let kern = tune::active::<f32>(1);
+    let (engine, geom) = (kern.engine, kern.geom);
+    let (mr, nr) = (geom.mr, geom.nr);
+    let (a_sliver, b_sliver) = (kk * k * mr, kk * k * nr);
+    crate::arena::with_pack_buffers::<f32, _>(|packed_a, packed_b, _| {
+        for jc in (0..n).step_by(kern.block.nc.max(1)) {
+            let nc = kern.block.nc.min(n - jc);
+            pack_b_slices(kk, t, k, nc, &b[jc * ldb..], ldb, &tb[jc..], nr, packed_b);
+            for ic in (0..m).step_by(kern.block.mc.max(1)) {
+                let mc = kern.block.mc.min(m - ic);
+                pack_a_slices(kk, t, mc, k, &a[ic..], lda, &ta[ic..], mr, packed_a);
+                for js in 0..nc.div_ceil(nr) {
+                    let j0 = js * nr;
+                    let nr_eff = nr.min(nc - j0);
+                    let b_sl = &packed_b[js * b_sliver..(js + 1) * b_sliver];
+                    for is in 0..mc.div_ceil(mr) {
+                        let i0 = is * mr;
+                        let mr_eff = mr.min(mc - i0);
+                        let a_sl = &packed_a[is * a_sliver..(is + 1) * a_sliver];
+                        let mut exps = [0i32; MAX_ACC];
+                        for j in 0..nr_eff {
+                            for i in 0..mr_eff {
+                                exps[i + j * mr] = ta[ic + i0 + i] + tb[jc + j0 + j];
+                            }
+                        }
+                        let mut acc = [0.0f64; MAX_ACC];
+                        let acc = &mut acc[..mr * nr];
+                        tile_product(engine, geom, kk, t, k, a_sl, b_sl, &exps[..mr * nr], acc);
+                        for j in 0..nr_eff {
+                            let cj = &mut c[ic + i0 + (jc + j0 + j) * ldc..];
+                            for i in 0..mr_eff {
+                                // blob-check: allow(no-float-eq): BLAS beta semantics — exactly zero means C is write-only and never read
+                                let old = if beta == 0.0 { 0.0 } else { beta * cj[i] };
+                                cj[i] = alpha * acc[i + j * mr] + old;
+                            }
                         }
                     }
                 }
             }
         }
-        jb += kc;
-    }
-
-    for j in 0..n {
-        for i in 0..m {
-            // blob-check: allow(no-float-eq): BLAS beta semantics — exactly zero means C is write-only and never read
-            let old = if beta == 0.0 {
-                0.0
-            } else {
-                beta * c[i + j * ldc]
-            };
-            c[i + j * ldc] = alpha * acc[i + j * m] + old;
-        }
-    }
-    Ok(report)
+    });
+    report
 }
 
 /// Validates an emulation precision tag, returning the slice count.
@@ -264,7 +395,7 @@ pub fn gemm_emul(
 ) -> Result<EmulReport, ContractError> {
     let kk = check_emul_tag(precision)?;
     check_gemm(m, n, k, a.len(), lda, b.len(), ldb, c.len(), ldc)?;
-    emul_core(kk, m, n, k, alpha, a, lda, b, ldb, beta, c, ldc)
+    Ok(emul_core(kk, m, n, k, alpha, a, lda, b, ldb, beta, c, ldc))
 }
 
 /// Emulated-f64 GEMV: `y = α·A·x + β·y`, run through the GEMM core with a
@@ -304,7 +435,7 @@ pub fn gemv_emul(
         beta,
         &mut ys,
         m.max(1),
-    )?;
+    );
     for (i, v) in ys.into_iter().enumerate() {
         y[crate::contract::vec_index(i, m, incy)] = v;
     }

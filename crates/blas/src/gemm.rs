@@ -27,6 +27,7 @@ use crate::pool;
 use crate::scalar::Scalar;
 use crate::tracehook;
 use crate::tune::{self, TunedKernel};
+use std::any::TypeId;
 
 /// Cache-block height of an `A` block (rows per packed block).
 pub const MC: usize = 128;
@@ -71,17 +72,17 @@ impl BlockConfig {
 }
 
 /// Applies `C ← β·C` to an `m × n` region, honouring the β=0 write-only rule.
-fn scale_c<T: Scalar>(m: usize, n: usize, beta: T, c: &mut [T], ldc: usize) {
-    if beta == T::ONE {
+fn scale_c<T: Scalar>(m: usize, n: usize, beta: T::Acc, c: &mut [T], ldc: usize) {
+    if beta == T::Acc::ONE {
         return;
     }
     for j in 0..n {
         let col = &mut c[j * ldc..j * ldc + m];
-        if beta == T::ZERO {
+        if beta == T::Acc::ZERO {
             col.fill(T::ZERO);
         } else {
             for v in col {
-                *v *= beta;
+                *v = T::narrow(v.widen() * beta);
             }
         }
     }
@@ -108,7 +109,7 @@ pub fn gemm_ref<T: Scalar>(
     if m == 0 || n == 0 {
         return Ok(());
     }
-    scale_c(m, n, beta, c, ldc);
+    scale_c(m, n, beta.widen(), c, ldc);
     if alpha == T::ZERO || k == 0 {
         return Ok(());
     }
@@ -129,8 +130,9 @@ pub fn gemm_ref<T: Scalar>(
 }
 
 /// The macro-kernel: multiplies a packed `mc × kc` A block by a packed
-/// `kc × nc` B panel into the corresponding `C` block, running the selected
-/// kernel variant at the selected micro-tile geometry.
+/// `kc × nc` B panel (both in `C`'s compute type) into the corresponding
+/// `C` block, running the selected kernel variant at the selected
+/// micro-tile geometry.
 #[allow(clippy::too_many_arguments)]
 fn macro_kernel<T: Scalar>(
     engine: Engine,
@@ -138,9 +140,9 @@ fn macro_kernel<T: Scalar>(
     mc: usize,
     nc: usize,
     kc: usize,
-    packed_a: &[T],
-    packed_b: &[T],
-    beta: T,
+    packed_a: &[T::Acc],
+    packed_b: &[T::Acc],
+    beta: T::Acc,
     c: &mut [T],
     ldc: usize,
 ) {
@@ -155,7 +157,7 @@ fn macro_kernel<T: Scalar>(
             let i0 = is * mr;
             let mr_eff = mr.min(mc - i0);
             let a_sl = &packed_a[is * kc * mr..(is + 1) * kc * mr];
-            let mut acc = [T::ZERO; MAX_ACC];
+            let mut acc = [T::Acc::ZERO; MAX_ACC];
             run_ukernel(engine, geom, kc, a_sl, b_sl, &mut acc[..mr * nr]);
             store_tile(
                 &acc[..mr * nr],
@@ -187,7 +189,7 @@ pub fn gemm_blocked<T: Scalar>(
     ldc: usize,
 ) -> Result<(), ContractError> {
     gemm_blocked_tuned(
-        &tune::active::<T>(1),
+        &tune::active::<T::Acc>(1),
         m,
         n,
         k,
@@ -222,7 +224,7 @@ pub fn gemm_blocked_with<T: Scalar>(
 ) -> Result<(), ContractError> {
     let kern = TunedKernel {
         block: cfg,
-        ..tune::active::<T>(1)
+        ..tune::active::<T::Acc>(1)
     };
     gemm_blocked_tuned(&kern, m, n, k, alpha, a, lda, b, ldb, beta, c, ldc)
 }
@@ -230,7 +232,8 @@ pub fn gemm_blocked_with<T: Scalar>(
 /// Cache-blocked, packed GEMM under a fully-explicit kernel configuration:
 /// engine, micro-tile geometry, and cache blocking. This is the kernel the
 /// autotuner times candidates through and the agreement tests pin variants
-/// with; the public `gemm_*` entry points all funnel here.
+/// with; the public `gemm_*` entry points all funnel into the same loop
+/// nest.
 #[allow(clippy::too_many_arguments)]
 pub fn gemm_blocked_tuned<T: Scalar>(
     kern: &TunedKernel,
@@ -246,68 +249,158 @@ pub fn gemm_blocked_tuned<T: Scalar>(
     c: &mut [T],
     ldc: usize,
 ) -> Result<(), ContractError> {
-    let cfg = kern.block;
-    let (engine, geom) = (kern.engine, kern.geom);
     contract::check_gemm(m, n, k, a.len(), lda, b.len(), ldb, c.len(), ldc)?;
-    if m == 0 || n == 0 {
-        return Ok(());
-    }
-    if alpha == T::ZERO || k == 0 {
-        scale_c(m, n, beta, c, ldc);
-        return Ok(());
-    }
-    // Packing buffers come from the thread-local arena: steady-state GEMM
-    // allocates nothing (the buffers keep their capacity across calls).
-    crate::arena::with_pack_buffers::<T, _>(|packed_a, packed_b| {
-        for jc in (0..n).step_by(cfg.nc.max(1)) {
-            let nc = cfg.nc.min(n - jc);
-            for pc in (0..k).step_by(cfg.kc.max(1)) {
-                let kc = cfg.kc.min(k - pc);
-                // β applies to C exactly once: on the first k-panel. Later
-                // panels accumulate (β' = 1).
-                let beta_eff = if pc == 0 { beta } else { T::ONE };
-                {
-                    let pack =
-                        tracehook::span(tracehook::names::GEMM_PACK_B, tracehook::cats::GEMM);
-                    pack.annotate("bytes", (kc * nc * std::mem::size_of::<T>()) as u64);
-                    pack_b(kc, nc, &b[jc * ldb + pc..], ldb, geom.nr, packed_b);
-                }
-                for ic in (0..m).step_by(cfg.mc.max(1)) {
-                    let mc = cfg.mc.min(m - ic);
-                    {
-                        let pack =
-                            tracehook::span(tracehook::names::GEMM_PACK_A, tracehook::cats::GEMM);
-                        pack.annotate("bytes", (mc * kc * std::mem::size_of::<T>()) as u64);
-                        // α folds into the packed copy of A
-                        pack_a(mc, kc, &a[pc * lda + ic..], lda, alpha, geom.mr, packed_a);
-                    }
-                    let compute =
-                        tracehook::span(tracehook::names::GEMM_COMPUTE, tracehook::cats::GEMM);
-                    compute.annotate("flops", 2 * (mc * nc * kc) as u64);
-                    macro_kernel(
-                        engine,
-                        geom,
-                        mc,
-                        nc,
-                        kc,
-                        packed_a,
-                        packed_b,
-                        beta_eff,
-                        &mut c[ic + jc * ldc..],
-                        ldc,
-                    );
-                    drop(compute);
-                }
-            }
-        }
-    });
+    blocked(
+        kern,
+        m,
+        n,
+        k,
+        alpha.widen(),
+        a,
+        lda,
+        b,
+        ldb,
+        beta.widen(),
+        c,
+        ldc,
+    );
     Ok(())
 }
 
+/// The single-threaded Goto loop nest on arguments the caller validated,
+/// with α/β in the compute type.
+///
+/// `C` is narrowed to its storage type once per element. When the storage
+/// type is its own compute type (`f32`/`f64`) the macro-kernel stores into
+/// `C` directly. Otherwise a `k` that spans several k-panels would narrow
+/// once per panel, so each column panel of `C` is staged widened in the
+/// arena, accumulated across the panels there, and narrowed at the end.
+#[allow(clippy::too_many_arguments)]
+fn blocked<T: Scalar>(
+    kern: &TunedKernel,
+    m: usize,
+    n: usize,
+    k: usize,
+    alpha: T::Acc,
+    a: &[T],
+    lda: usize,
+    b: &[T],
+    ldb: usize,
+    beta: T::Acc,
+    c: &mut [T],
+    ldc: usize,
+) {
+    if m == 0 || n == 0 {
+        return;
+    }
+    if alpha == T::Acc::ZERO || k == 0 {
+        scale_c(m, n, beta, c, ldc);
+        return;
+    }
+    let cfg = kern.block;
+    let staged = k > cfg.kc && TypeId::of::<T>() != TypeId::of::<T::Acc>();
+    // Packing buffers come from the thread-local arena: steady-state GEMM
+    // allocates nothing (the buffers keep their capacity across calls).
+    crate::arena::with_pack_buffers::<T::Acc, _>(|packed_a, packed_b, panel| {
+        for jc in (0..n).step_by(cfg.nc.max(1)) {
+            let nc = cfg.nc.min(n - jc);
+            let b_panel = &b[jc * ldb..];
+            let c_panel = &mut c[jc * ldc..];
+            if staged {
+                // β = 0 never reads C: the first k-panel overwrites.
+                panel.clear();
+                if beta == T::Acc::ZERO {
+                    panel.resize(m * nc, T::Acc::ZERO);
+                } else {
+                    for j in 0..nc {
+                        panel.extend(c_panel[j * ldc..j * ldc + m].iter().map(|v| v.widen()));
+                    }
+                }
+                column_panel(
+                    kern, m, nc, k, alpha, a, lda, b_panel, ldb, beta, panel, m, packed_a, packed_b,
+                );
+                for j in 0..nc {
+                    for (dst, &v) in c_panel[j * ldc..j * ldc + m]
+                        .iter_mut()
+                        .zip(&panel[j * m..(j + 1) * m])
+                    {
+                        *dst = T::narrow(v);
+                    }
+                }
+            } else {
+                column_panel(
+                    kern, m, nc, k, alpha, a, lda, b_panel, ldb, beta, c_panel, ldc, packed_a,
+                    packed_b,
+                );
+            }
+        }
+    });
+}
+
+/// One `nc`-wide column panel of the loop nest: for each k-panel, pack `B`,
+/// then for each row block pack `A` and run the macro-kernel into `C`.
+/// Operands of storage type `S` are widened into `S::Acc` panels; `C` is of
+/// storage type `D` with the same compute type.
+#[allow(clippy::too_many_arguments)]
+fn column_panel<S: Scalar, D: Scalar<Acc = S::Acc>>(
+    kern: &TunedKernel,
+    m: usize,
+    nc: usize,
+    k: usize,
+    alpha: S::Acc,
+    a: &[S],
+    lda: usize,
+    b: &[S],
+    ldb: usize,
+    beta: S::Acc,
+    c: &mut [D],
+    ldc: usize,
+    packed_a: &mut Vec<S::Acc>,
+    packed_b: &mut Vec<S::Acc>,
+) {
+    let cfg = kern.block;
+    let (engine, geom) = (kern.engine, kern.geom);
+    for pc in (0..k).step_by(cfg.kc.max(1)) {
+        let kc = cfg.kc.min(k - pc);
+        // β applies to C exactly once: on the first k-panel. Later panels
+        // accumulate (β' = 1).
+        let beta_eff = if pc == 0 { beta } else { S::Acc::ONE };
+        {
+            let pack = tracehook::span(tracehook::names::GEMM_PACK_B, tracehook::cats::GEMM);
+            pack.annotate("bytes", (kc * nc * std::mem::size_of::<S>()) as u64);
+            pack_b(kc, nc, &b[pc..], ldb, geom.nr, packed_b);
+        }
+        for ic in (0..m).step_by(cfg.mc.max(1)) {
+            let mc = cfg.mc.min(m - ic);
+            {
+                let pack = tracehook::span(tracehook::names::GEMM_PACK_A, tracehook::cats::GEMM);
+                pack.annotate("bytes", (mc * kc * std::mem::size_of::<S>()) as u64);
+                // α folds into the packed copy of A
+                pack_a(mc, kc, &a[pc * lda + ic..], lda, alpha, geom.mr, packed_a);
+            }
+            let compute = tracehook::span(tracehook::names::GEMM_COMPUTE, tracehook::cats::GEMM);
+            compute.annotate("flops", 2 * (mc * nc * kc) as u64);
+            macro_kernel(
+                engine,
+                geom,
+                mc,
+                nc,
+                kc,
+                packed_a,
+                packed_b,
+                beta_eff,
+                &mut c[ic..],
+                ldc,
+            );
+            drop(compute);
+        }
+    }
+}
+
 /// Multi-threaded GEMM: the `N` dimension is split into contiguous column
-/// blocks dispatched through [`pool::run_scoped`], each block running
-/// [`gemm_blocked`] on a disjoint region of `C` (and the matching columns
-/// of `B`).
+/// blocks dispatched through [`pool::run_scoped`], each block running the
+/// blocked loop nest of [`gemm_blocked`] on a disjoint region of `C` (and
+/// the matching columns of `B`).
 ///
 /// Column blocks are rounded to multiples of the tuned geometry's `nr` so
 /// no micro-tile spans a thread boundary. The split width is chosen by
@@ -318,6 +411,8 @@ pub fn gemm_blocked_tuned<T: Scalar>(
 /// the small-problem region where the offload threshold lives and where a
 /// per-call spawn used to dominate the measurement. Above it, the caller
 /// runs the first block itself, so `w` workers cost `w − 1` spawns.
+///
+/// Half-precision storage runs the same f32 path (see [`Scalar::Acc`]).
 pub fn gemm_parallel<T: Scalar>(
     threads: usize,
     m: usize,
@@ -332,11 +427,44 @@ pub fn gemm_parallel<T: Scalar>(
     c: &mut [T],
     ldc: usize,
 ) -> Result<(), ContractError> {
+    gemm_widened(
+        threads,
+        m,
+        n,
+        k,
+        alpha.widen(),
+        a,
+        lda,
+        b,
+        ldb,
+        beta.widen(),
+        c,
+        ldc,
+    )
+}
+
+/// [`gemm_parallel`] with α/β given in the compute type — the shared driver
+/// behind it and [`gemm_half`](crate::gemm_half).
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn gemm_widened<T: Scalar>(
+    threads: usize,
+    m: usize,
+    n: usize,
+    k: usize,
+    alpha: T::Acc,
+    a: &[T],
+    lda: usize,
+    b: &[T],
+    ldb: usize,
+    beta: T::Acc,
+    c: &mut [T],
+    ldc: usize,
+) -> Result<(), ContractError> {
     contract::check_gemm(m, n, k, a.len(), lda, b.len(), ldb, c.len(), ldc)?;
     if m == 0 || n == 0 {
         return Ok(());
     }
-    let kern = tune::active::<T>(threads);
+    let kern = tune::active::<T::Acc>(threads);
     let nr = kern.geom.nr;
     let flops = 2usize.saturating_mul(m).saturating_mul(n).saturating_mul(k);
     // A worker should also own at least a few micro-panels of columns, or
@@ -347,7 +475,8 @@ pub fn gemm_parallel<T: Scalar>(
         .min(n.div_ceil(min_cols))
         .max(1);
     if chunks == 1 {
-        return gemm_blocked_tuned(&kern, m, n, k, alpha, a, lda, b, ldb, beta, c, ldc);
+        blocked(&kern, m, n, k, alpha, a, lda, b, ldb, beta, c, ldc);
+        return Ok(());
     }
     // Columns per chunk, rounded up to a multiple of nr.
     let per = n.div_ceil(chunks).div_ceil(nr) * nr;
@@ -365,8 +494,8 @@ pub fn gemm_parallel<T: Scalar>(
         jobs.push(move || {
             perturb::point(perturb::tags::GEMM_PANEL);
             // The full call was validated above and each chunk only
-            // narrows it, so a chunk cannot fail its own contract.
-            let _ = gemm_blocked_tuned(
+            // narrows it.
+            blocked(
                 &kern_job, m, jn, k, alpha, a, lda, b_block, ldb, beta, mine, ldc,
             );
         });

@@ -8,18 +8,19 @@
 //! that blocker for the Rust kernels twice over:
 //!
 //! - [`Bf16`] (1 sign, 8 exponent, 7 mantissa bits — f32's upper half) and
-//!   [`F16`] (IEEE-754 binary16: 1/5/10) with round-to-nearest-even
-//!   conversions, arithmetic evaluated in f32 and rounded back per
-//!   operation (the semantics of scalar half units), and full [`Scalar`]
-//!   implementations — so every generic kernel in this crate works at
-//!   half precision unchanged (the slow, per-op-rounding path).
-//! - The *real* half GEMM/GEMV entry points [`gemm_half`] / [`gemv_half`]:
-//!   operands widened once to f32, contracted by the fast explicit-SIMD
-//!   f32 kernels (f32 accumulation — matrix-engine semantics), results
-//!   narrowed once back to the storage format. These carry an explicit
-//!   [`Precision`] tag (the `no-untagged-precision` blob-check rule): a
-//!   half kernel that silently fell through to bare f32 would corrupt the
-//!   per-precision threshold tables.
+//!   [`F16`] (IEEE-754 binary16: 1/5/10) with exact widening and
+//!   round-to-nearest-even narrowing in bit arithmetic, and full
+//!   [`Scalar`] implementations whose compute type ([`Scalar::Acc`]) is
+//!   `f32`. Every GEMM in this crate therefore runs at half precision on
+//!   the f32 path: the packers widen the operands into f32 panels, the
+//!   explicit-SIMD f32 micro-kernel accumulates, and each element of `C`
+//!   is narrowed once (matrix-engine semantics). Scalar arithmetic on the
+//!   types themselves (GEMV, Level 1) is evaluated in f32 and rounded back
+//!   per operation, the semantics of scalar half units.
+//! - The tagged entry points [`gemm_half`] / [`gemv_half`], which carry an
+//!   explicit [`Precision`] tag (the `no-untagged-precision` blob-check
+//!   rule): a half kernel that silently fell through to bare f32 would
+//!   corrupt the per-precision threshold tables.
 
 use crate::scalar::{Precision, Scalar};
 use crate::ContractError;
@@ -44,10 +45,8 @@ impl Bf16 {
             return Bf16(((bits >> 16) | 0x0040) as u16);
         }
         // round to nearest even on the truncated 16 bits
-        let round_bit = 0x0000_8000u32;
         let lsb = (bits >> 16) & 1;
         let rounded = bits.wrapping_add(0x0000_7FFF + lsb);
-        let _ = round_bit;
         Bf16((rounded >> 16) as u16)
     }
 
@@ -129,6 +128,16 @@ impl Scalar for Bf16 {
     const PREFIX: char = 'b';
     const BYTES: usize = 2;
 
+    type Acc = f32;
+    #[inline(always)]
+    fn widen(self) -> f32 {
+        self.to_f32()
+    }
+    #[inline(always)]
+    fn narrow(v: f32) -> Self {
+        Bf16::from_f32(v)
+    }
+
     #[inline]
     fn mul_add(self, a: Self, b: Self) -> Self {
         // fused in f32, rounded once — matrix-engine BF16 semantics
@@ -175,68 +184,60 @@ impl F16 {
     pub fn from_f32(v: f32) -> Self {
         let bits = v.to_bits();
         let sign = ((bits >> 16) & 0x8000) as u16;
-        if v.is_nan() {
+        let mag = bits & 0x7FFF_FFFF;
+        if mag > 0x7F80_0000 {
             // quiet NaN, preserve sign
             return F16(sign | 0x7E00);
         }
-        let mag = v.abs();
-        if bits & 0x7FFF_FFFF == 0 {
-            return F16(sign); // ±0.0
+        if mag >= 0x4780_0000 {
+            // |v| ≥ 2^16 (or infinite): past the top binade
+            return F16(sign | 0x7C00);
         }
-        // exponent e with 2^e <= mag < 2^(e+1)
-        let e = (((bits >> 23) & 0xFF) as i32) - 127;
-        if e >= 16 || mag.is_infinite() {
-            // above the f16 range (max binade is 2^15): round-to-nearest
-            // can only land on or beyond 2^16 ⇒ infinity, except values
-            // that round down to F16::MAX
-            return if mag >= 65520.0 {
-                F16(sign | 0x7C00) // ±inf
-            } else {
-                F16(sign | Self::MAX.0)
-            };
-        }
-        if e >= -14 {
-            // normal f16 (smallest normal binade is 2^-14): round the
-            // magnitude to 10 fractional bits of its binade —
-            // mag · 2^(10-e) is an integer in [1024, 2048]
-            let m = (mag * (2f32).powi(10 - e)).round_ties_even() as u32;
-            if m == 2048 {
-                // carried into the next binade
-                return if e + 1 >= 16 {
-                    F16(sign | 0x7C00)
-                } else {
-                    F16(sign | (((e + 1 + 15) as u16) << 10))
-                };
-            }
-            F16(sign | (((e + 15) as u16) << 10) | (m as u16 & 0x3FF))
+        // Keep the top bits of the significand as the f16 pattern and round
+        // the `shift` dropped bits to nearest even. A carry out of the
+        // significand bumps the exponent, which is exactly the next f16
+        // value: F16::MAX rounds up to infinity, the largest subnormal to
+        // the smallest normal.
+        let (kept, dropped, shift) = if mag >= 0x3880_0000 {
+            // normal f16 (|v| ≥ 2^-14): rebias the exponent 127 → 15
+            ((mag - (112 << 23)) >> 13, mag & 0x1FFF, 13)
+        } else if mag >= 0x3300_0000 {
+            // subnormal f16 (2^-25 ≤ |v| < 2^-14): units of 2^-24
+            let shift = 126 - (mag >> 23);
+            let significand = (mag & 0x7F_FFFF) | 0x80_0000;
+            (
+                significand >> shift,
+                significand & ((1 << shift) - 1),
+                shift,
+            )
         } else {
-            // subnormal f16: units of 2^-24
-            let m = (mag * (2f32).powi(24)).round_ties_even() as u32;
-            if m >= 1024 {
-                // rounded up into the smallest normal binade
-                F16(sign | (1 << 10) | (m as u16 & 0x3FF))
-            } else {
-                F16(sign | m as u16)
-            }
-        }
+            // below half the smallest subnormal (2^-25 itself ties to 0)
+            return F16(sign);
+        };
+        let half = 1 << (shift - 1);
+        let round_up = dropped > half || (dropped == half && kept & 1 == 1);
+        F16(sign | (kept + u32::from(round_up)) as u16)
     }
 
-    /// Widens to `f32` exactly (every finite f16 is representable).
+    /// Widens to `f32` exactly (every f16 is representable); NaNs keep
+    /// their sign and payload.
     pub fn to_f32(self) -> f32 {
-        let sign = if self.0 & 0x8000 != 0 { -1.0f32 } else { 1.0 };
-        let exp = (self.0 >> 10) & 0x1F;
-        let man = (self.0 & 0x3FF) as f32;
-        match exp {
-            0 => sign * man * (2f32).powi(-24), // subnormal (or zero)
-            0x1F => {
-                if self.0 & 0x3FF == 0 {
-                    sign * f32::INFINITY
-                } else {
-                    f32::NAN
-                }
+        let h = u32::from(self.0);
+        let sign = (h & 0x8000) << 16;
+        let exp = (h >> 10) & 0x1F;
+        let man = h & 0x3FF;
+        let bits = match (exp, man) {
+            (0, 0) => sign,
+            (0, _) => {
+                // subnormal man·2^-24: renormalise so the leading one
+                // becomes the implicit bit
+                let lead = 31 - man.leading_zeros(); // 0..=9
+                sign | ((lead + 103) << 23) | ((man << (23 - lead)) & 0x7F_FFFF)
             }
-            _ => sign * (1.0 + man * (2f32).powi(-10)) * (2f32).powi(exp as i32 - 15),
-        }
+            (0x1F, _) => sign | 0x7F80_0000 | (man << 13),
+            _ => sign | ((exp + 112) << 23) | (man << 13),
+        };
+        f32::from_bits(bits)
     }
 
     /// The raw bit pattern.
@@ -312,6 +313,16 @@ impl Scalar for F16 {
     const PREFIX: char = 'h';
     const BYTES: usize = 2;
 
+    type Acc = f32;
+    #[inline(always)]
+    fn widen(self) -> f32 {
+        self.to_f32()
+    }
+    #[inline(always)]
+    fn narrow(v: f32) -> Self {
+        F16::from_f32(v)
+    }
+
     #[inline]
     fn mul_add(self, a: Self, b: Self) -> Self {
         // fused in f32, rounded once — matrix-engine FP16 semantics
@@ -340,41 +351,21 @@ impl Scalar for F16 {
 }
 
 // ---------------------------------------------------------------------------
-// the fast widened kernels: half storage, f32 SIMD accumulation
+// the tagged kernels: half storage, f32 SIMD accumulation
 // ---------------------------------------------------------------------------
 
-/// A 16-bit storage format the widened kernels can contract in f32.
-pub trait HalfScalar: Scalar {
+/// A 16-bit storage format contracted in f32.
+pub trait HalfScalar: Scalar<Acc = f32> {
     /// The [`Precision`] tag this element type realises.
     const PRECISION: Precision;
-    /// Exact widening to the f32 accumulation format.
-    fn widen(self) -> f32;
-    /// Narrowing back to storage with round-to-nearest-even.
-    fn narrow(v: f32) -> Self;
 }
 
 impl HalfScalar for Bf16 {
     const PRECISION: Precision = Precision::Bf16;
-    #[inline]
-    fn widen(self) -> f32 {
-        self.to_f32()
-    }
-    #[inline]
-    fn narrow(v: f32) -> Self {
-        Bf16::from_f32(v)
-    }
 }
 
 impl HalfScalar for F16 {
     const PRECISION: Precision = Precision::F16;
-    #[inline]
-    fn widen(self) -> f32 {
-        self.to_f32()
-    }
-    #[inline]
-    fn narrow(v: f32) -> Self {
-        F16::from_f32(v)
-    }
 }
 
 /// Checks a precision tag against the element type's own precision — the
@@ -391,9 +382,11 @@ fn check_half_tag<T: HalfScalar>(precision: Precision) -> Result<(), ContractErr
 }
 
 /// Half-precision GEMM with f32 accumulation: `C = α·A·B + β·C` with
-/// bf16/f16 storage, widened once to f32, contracted by the fast blocked
-/// (explicit-SIMD) f32 kernel, and narrowed once back — the semantics of
-/// a matrix engine's half GEMM, not of per-operation half rounding.
+/// bf16/f16 storage, widened into the packed f32 panels, contracted by the
+/// blocked (explicit-SIMD) f32 micro-kernel, and narrowed once per element
+/// of `C` — the semantics of a matrix engine's half GEMM, not of
+/// per-operation half rounding. Single-threaded, like [`gemm_blocked`](
+/// crate::gemm_blocked).
 ///
 /// `precision` must match `T` ([`ContractError::PrecisionMismatch`]
 /// otherwise); α/β are given in the f32 accumulation format.
@@ -412,15 +405,7 @@ pub fn gemm_half<T: HalfScalar>(
     ldc: usize,
 ) -> Result<(), ContractError> {
     check_half_tag::<T>(precision)?;
-    crate::contract::check_gemm(m, n, k, a.len(), lda, b.len(), ldb, c.len(), ldc)?;
-    let aw: Vec<f32> = a.iter().map(|&v| v.widen()).collect();
-    let bw: Vec<f32> = b.iter().map(|&v| v.widen()).collect();
-    let mut cw: Vec<f32> = c.iter().map(|&v| v.widen()).collect();
-    crate::gemm_blocked(m, n, k, alpha, &aw, lda, &bw, ldb, beta, &mut cw, ldc)?;
-    for (dst, &src) in c.iter_mut().zip(cw.iter()) {
-        *dst = T::narrow(src);
-    }
-    Ok(())
+    crate::gemm::gemm_widened(1, m, n, k, alpha, a, lda, b, ldb, beta, c, ldc)
 }
 
 /// Half-precision GEMV with f32 accumulation: `y = α·A·x + β·y`, the
@@ -619,6 +604,136 @@ mod tests {
         assert_eq!(F16::from_f32(2.0e-8).to_f32(), 0.0); // below half the ulp
         assert!(F16::from_f32(f32::NAN).to_f32().is_nan());
         assert!(!Scalar::is_finite(F16::from_f32(f32::INFINITY)));
+        // a NaN keeps its sign both ways, as Bf16's does
+        assert!(F16::from_bits(0xFE00).to_f32().is_sign_negative());
+        assert_eq!(F16::from_f32(-f32::NAN).to_bits(), 0xFE00);
+        assert!(Bf16::from_f32(-f32::NAN).to_f32().is_sign_negative());
+    }
+
+    /// The arithmetic `F16::to_f32` the bit-level conversion replaced: the
+    /// oracle for every non-NaN pattern.
+    fn formula_to_f32(bits: u16) -> f32 {
+        let sign = if bits & 0x8000 != 0 { -1.0f32 } else { 1.0 };
+        let exp = (bits >> 10) & 0x1F;
+        let man = (bits & 0x3FF) as f32;
+        match exp {
+            0 => sign * man * (2f32).powi(-24),
+            0x1F if bits & 0x3FF == 0 => sign * f32::INFINITY,
+            0x1F => f32::NAN,
+            _ => sign * (1.0 + man * (2f32).powi(-10)) * (2f32).powi(exp as i32 - 15),
+        }
+    }
+
+    /// The arithmetic `F16::from_f32` the bit-level conversion replaced.
+    fn formula_from_f32(v: f32) -> u16 {
+        let bits = v.to_bits();
+        let sign = ((bits >> 16) & 0x8000) as u16;
+        if v.is_nan() {
+            return sign | 0x7E00;
+        }
+        let mag = v.abs();
+        if bits & 0x7FFF_FFFF == 0 {
+            return sign;
+        }
+        let e = (((bits >> 23) & 0xFF) as i32) - 127;
+        if e >= 16 || mag.is_infinite() {
+            return if mag >= 65520.0 {
+                sign | 0x7C00
+            } else {
+                sign | F16::MAX.0
+            };
+        }
+        if e >= -14 {
+            let m = (mag * (2f32).powi(10 - e)).round_ties_even() as u32;
+            if m == 2048 {
+                return if e + 1 >= 16 {
+                    sign | 0x7C00
+                } else {
+                    sign | (((e + 1 + 15) as u16) << 10)
+                };
+            }
+            sign | (((e + 15) as u16) << 10) | (m as u16 & 0x3FF)
+        } else {
+            let m = (mag * (2f32).powi(24)).round_ties_even() as u32;
+            if m >= 1024 {
+                sign | (1 << 10) | (m as u16 & 0x3FF)
+            } else {
+                sign | m as u16
+            }
+        }
+    }
+
+    #[test]
+    fn f16_widening_matches_the_formula_on_every_pattern() {
+        for bits in 0..=u16::MAX {
+            let (got, want) = (F16::from_bits(bits).to_f32(), formula_to_f32(bits));
+            if want.is_nan() {
+                assert!(got.is_nan(), "{bits:#06x}");
+                assert_eq!(got.is_sign_negative(), bits & 0x8000 != 0, "{bits:#06x}");
+            } else {
+                assert_eq!(got.to_bits(), want.to_bits(), "{bits:#06x}");
+            }
+        }
+    }
+
+    #[test]
+    fn f16_narrowing_matches_the_formula() {
+        let check = |v: f32| {
+            for v in [v, -v] {
+                assert_eq!(
+                    F16::from_f32(v).to_bits(),
+                    formula_from_f32(v),
+                    "{v:e} ({:#010x})",
+                    v.to_bits()
+                );
+            }
+        };
+        let up = |v: f32| f32::from_bits(v.to_bits() + 1);
+        let down = |v: f32| f32::from_bits(v.to_bits() - 1);
+        // every finite f16 value, and every midpoint between neighbours
+        // (2^16 closes the last binade) with the f32 values either side
+        for bits in 0..=0x7BFFu16 {
+            let lo = F16::from_bits(bits).to_f32();
+            let hi = if bits == 0x7BFF {
+                65536.0
+            } else {
+                F16::from_bits(bits + 1).to_f32()
+            };
+            let mid = ((f64::from(lo) + f64::from(hi)) / 2.0) as f32;
+            check(lo);
+            for v in [mid, up(mid), down(mid)] {
+                check(v);
+            }
+        }
+        // overflow edge, f32 subnormals, the binade boundaries, specials
+        for v in [
+            65504.0,
+            65519.0,
+            65519.996,
+            65520.0,
+            65536.0,
+            f32::MAX,
+            f32::INFINITY,
+            f32::MIN_POSITIVE,
+            f32::from_bits(1),
+            f32::from_bits(0x007F_FFFF),
+            2f32.powi(-25),
+            up(2f32.powi(-25)),
+            down(2f32.powi(-25)),
+            2f32.powi(-14),
+            down(2f32.powi(-14)),
+            f32::NAN,
+        ] {
+            check(v);
+        }
+        // one million seeded random f32 bit patterns (xorshift32)
+        let mut s = 0x9E37_79B9u32;
+        for _ in 0..1_000_000 {
+            s ^= s << 13;
+            s ^= s >> 17;
+            s ^= s << 5;
+            check(f32::from_bits(s));
+        }
     }
 
     #[test]

@@ -19,7 +19,8 @@
 //! - [`level1`] — dot, axpy, scal, nrm2, asum, iamax, copy, swap
 //! - [`gemv`] — matrix-vector multiply, serial and parallel
 //! - [`gemm`] — matrix-matrix multiply: reference, blocked, parallel
-//! - [`pack`] — panel packing for the blocked GEMM
+//! - [`pack`] — panel packing for the blocked GEMM, widening each element
+//!   to its compute type (bf16/f16 → f32)
 //! - [`arena`] — thread-local reusable packing buffers (zero steady-state
 //!   allocation on the blocked-GEMM hot path)
 //! - [`microkernel`] — the register-tiled inner kernels: portable scalar

@@ -395,19 +395,21 @@ pub fn dot<T: Scalar>(a: &[T], b: &[T]) -> T {
 /// Writes an accumulator tile into `C` with BLAS beta semantics.
 ///
 /// `acc` is column-major with leading dimension `acc_ld` (the geometry's
-/// `mr`). Only the `mr_eff × nr_eff` valid corner is stored (edge tiles
-/// have zero-padded slivers whose extra rows/columns must not leak into
-/// `C`). When `beta == 0`, `C` is overwritten without being read —
+/// `mr`), in `C`'s compute type. Only the `mr_eff × nr_eff` valid corner
+/// is stored (edge tiles have zero-padded slivers whose extra rows/columns
+/// must not leak into `C`). β is applied in the compute type and each
+/// element is narrowed to `C`'s storage type once (the identity for
+/// `f32`/`f64`). When `beta == 0`, `C` is overwritten without being read —
 /// required by BLAS so an uninitialised `C` never contaminates the product.
 #[inline]
 pub fn store_tile<T: Scalar>(
-    acc: &[T],
+    acc: &[T::Acc],
     acc_ld: usize,
     c: &mut [T],
     ldc: usize,
     mr_eff: usize,
     nr_eff: usize,
-    beta: T,
+    beta: T::Acc,
 ) {
     debug_assert!(mr_eff <= acc_ld);
     debug_assert!(nr_eff == 0 || acc.len() >= (nr_eff - 1) * acc_ld + mr_eff);
@@ -415,23 +417,24 @@ pub fn store_tile<T: Scalar>(
         (nr_eff == 0 && mr_eff == 0) || c.len() >= (nr_eff - 1) * ldc + mr_eff,
         "C tile slice too short"
     );
-    if beta == T::ZERO {
+    if beta == T::Acc::ZERO {
         for j in 0..nr_eff {
             for i in 0..mr_eff {
-                c[i + j * ldc] = acc[i + j * acc_ld];
+                c[i + j * ldc] = T::narrow(acc[i + j * acc_ld]);
             }
         }
-    } else if beta == T::ONE {
+    } else if beta == T::Acc::ONE {
         for j in 0..nr_eff {
             for i in 0..mr_eff {
-                c[i + j * ldc] += acc[i + j * acc_ld];
+                let idx = i + j * ldc;
+                c[idx] = T::narrow(c[idx].widen() + acc[i + j * acc_ld]);
             }
         }
     } else {
         for j in 0..nr_eff {
             for i in 0..mr_eff {
                 let idx = i + j * ldc;
-                c[idx] = c[idx].mul_add(beta, acc[i + j * acc_ld]);
+                c[idx] = T::narrow(c[idx].widen().mul_add(beta, acc[i + j * acc_ld]));
             }
         }
     }

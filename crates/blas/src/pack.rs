@@ -11,6 +11,11 @@
 //! no branches inside the micro-kernel; [`store_tile`](crate::microkernel::
 //! store_tile) masks the padding when writing `C`.
 //!
+//! Packing is also where precision conversion happens: the panels hold the
+//! element type's compute type ([`Scalar::Acc`]), so a bf16/f16 operand is
+//! widened to f32 once, on the copy the micro-kernel needs anyway. For
+//! `f32`/`f64` the widening is the identity.
+//!
 //! This file is, together with [`crate::microkernel`], one of the two
 //! sanctioned homes for `unsafe`/`core::arch` code under the
 //! `no-unchecked-simd` blob-check rule. The packers are currently pure safe
@@ -20,7 +25,8 @@ use crate::scalar::Scalar;
 
 /// Packs an `mc × kc` block of `A` (column-major, leading dimension `lda`)
 /// into `buf` as ceil(mc/mr) row slivers of the selected micro-tile height
-/// `mr`, scaling every element by `alpha`.
+/// `mr`, widening every element to the compute type and scaling it by
+/// `alpha`.
 ///
 /// Sliver `s` occupies `buf[s * kc * mr ..]` and stores, for each `p` in
 /// `0..kc`, the `mr` rows `s*mr .. s*mr+mr` of column `p` (zero-padded past
@@ -33,9 +39,9 @@ pub fn pack_a<T: Scalar>(
     kc: usize,
     a: &[T],
     lda: usize,
-    alpha: T,
+    alpha: T::Acc,
     mr: usize,
-    buf: &mut Vec<T>,
+    buf: &mut Vec<T::Acc>,
 ) -> usize {
     debug_assert!(mr > 0, "micro-tile height must be positive");
     debug_assert!(
@@ -51,13 +57,13 @@ pub fn pack_a<T: Scalar>(
         let rows = mr.min(mc - row0);
         for p in 0..kc {
             let col = &a[p * lda + row0..p * lda + row0 + rows];
-            if alpha == T::ONE {
-                buf.extend_from_slice(col);
+            if alpha == T::Acc::ONE {
+                buf.extend(col.iter().map(|&v| v.widen()));
             } else {
-                buf.extend(col.iter().map(|&v| v * alpha));
+                buf.extend(col.iter().map(|&v| v.widen() * alpha));
             }
             // zero-pad the sliver to full mr height
-            buf.extend(std::iter::repeat_n(T::ZERO, mr - rows));
+            buf.extend(std::iter::repeat_n(T::Acc::ZERO, mr - rows));
         }
     }
     debug_assert_eq!(buf.len(), needed);
@@ -66,7 +72,7 @@ pub fn pack_a<T: Scalar>(
 
 /// Packs a `kc × nc` panel of `B` (column-major, leading dimension `ldb`)
 /// into `buf` as ceil(nc/nr) column slivers of the selected micro-tile
-/// width `nr`.
+/// width `nr`, widening every element to the compute type.
 ///
 /// Sliver `s` stores, for each `p` in `0..kc`, the `nr` elements
 /// `B[p, s*nr .. s*nr+nr]` (zero-padded past `nc`).
@@ -78,7 +84,7 @@ pub fn pack_b<T: Scalar>(
     b: &[T],
     ldb: usize,
     nr: usize,
-    buf: &mut Vec<T>,
+    buf: &mut Vec<T::Acc>,
 ) -> usize {
     debug_assert!(nr > 0, "micro-tile width must be positive");
     debug_assert!(
@@ -94,9 +100,9 @@ pub fn pack_b<T: Scalar>(
         let cols = nr.min(nc - col0);
         for p in 0..kc {
             for j in 0..cols {
-                buf.push(b[(col0 + j) * ldb + p]);
+                buf.push(b[(col0 + j) * ldb + p].widen());
             }
-            buf.extend(std::iter::repeat_n(T::ZERO, nr - cols));
+            buf.extend(std::iter::repeat_n(T::Acc::ZERO, nr - cols));
         }
     }
     debug_assert_eq!(buf.len(), needed);

@@ -48,6 +48,14 @@ pub trait Scalar:
     /// Size of one element in bytes.
     const BYTES: usize;
 
+    /// The compute type GEMM packs into and accumulates in: the type itself
+    /// for `f32`/`f64`, `f32` for the 16-bit storage formats.
+    type Acc: Scalar<Acc = Self::Acc>;
+    /// Exact conversion to the compute type.
+    fn widen(self) -> Self::Acc;
+    /// Conversion back from the compute type, rounding to nearest even.
+    fn narrow(v: Self::Acc) -> Self;
+
     /// Fused multiply-add: `self * a + b` evaluated with a single rounding.
     fn mul_add(self, a: Self, b: Self) -> Self;
     /// Absolute value.
@@ -108,6 +116,16 @@ macro_rules! impl_scalar {
             const EPSILON: Self = <$t>::EPSILON;
             const PREFIX: char = $prefix;
             const BYTES: usize = std::mem::size_of::<$t>();
+
+            type Acc = $t;
+            #[inline(always)]
+            fn widen(self) -> Self {
+                self
+            }
+            #[inline(always)]
+            fn narrow(v: Self) -> Self {
+                v
+            }
 
             #[inline(always)]
             fn mul_add(self, a: Self, b: Self) -> Self {

@@ -36,8 +36,8 @@ fn pack_a_op<T: Scalar>(
     lda: usize,
     row0: usize,
     col0: usize,
-    alpha: T,
-    buf: &mut Vec<T>,
+    alpha: T::Acc,
+    buf: &mut Vec<T::Acc>,
 ) {
     match trans {
         Trans::NoTrans => {
@@ -56,9 +56,9 @@ fn pack_a_op<T: Scalar>(
                     for i in 0..rows {
                         // logical op(A)[row0 + r0 + i, col0 + p] = A[col0 + p, row0 + r0 + i]
                         let v = a[(col0 + p) + (row0 + r0 + i) * lda];
-                        buf.push(v * alpha);
+                        buf.push(v.widen() * alpha);
                     }
-                    buf.extend(std::iter::repeat_n(T::ZERO, MR - rows));
+                    buf.extend(std::iter::repeat_n(T::Acc::ZERO, MR - rows));
                 }
             }
         }
@@ -75,7 +75,7 @@ fn pack_b_op<T: Scalar>(
     ldb: usize,
     row0: usize,
     col0: usize,
-    buf: &mut Vec<T>,
+    buf: &mut Vec<T::Acc>,
 ) {
     match trans {
         Trans::NoTrans => {
@@ -91,9 +91,9 @@ fn pack_b_op<T: Scalar>(
                 for p in 0..kc {
                     for j in 0..cols {
                         // logical op(B)[row0 + p, col0 + c0 + j] = B[col0 + c0 + j, row0 + p]
-                        buf.push(b[(col0 + c0 + j) + (row0 + p) * ldb]);
+                        buf.push(b[(col0 + c0 + j) + (row0 + p) * ldb].widen());
                     }
-                    buf.extend(std::iter::repeat_n(T::ZERO, NR - cols));
+                    buf.extend(std::iter::repeat_n(T::Acc::ZERO, NR - cols));
                 }
             }
         }
@@ -152,17 +152,17 @@ pub fn gemm_ex<T: Scalar>(
     }
 
     use crate::gemm::{KC, MC, NC};
-    let mut packed_a: Vec<T> = Vec::new();
-    let mut packed_b: Vec<T> = Vec::new();
+    let mut packed_a: Vec<T::Acc> = Vec::new();
+    let mut packed_b: Vec<T::Acc> = Vec::new();
     for jc in (0..n).step_by(NC) {
         let nc = NC.min(n - jc);
         for pc in (0..k).step_by(KC) {
             let kc = KC.min(k - pc);
-            let beta_eff = if pc == 0 { beta } else { T::ONE };
+            let beta_eff = if pc == 0 { beta.widen() } else { T::Acc::ONE };
             pack_b_op(transb, kc, nc, b, ldb, pc, jc, &mut packed_b);
             for ic in (0..m).step_by(MC) {
                 let mc = MC.min(m - ic);
-                pack_a_op(transa, mc, kc, a, lda, ic, pc, alpha, &mut packed_a);
+                pack_a_op(transa, mc, kc, a, lda, ic, pc, alpha.widen(), &mut packed_a);
                 // macro kernel (same as gemm_blocked's)
                 let m_slivers = mc.div_ceil(MR);
                 let n_slivers = nc.div_ceil(NR);
@@ -174,7 +174,7 @@ pub fn gemm_ex<T: Scalar>(
                         let i0 = is * MR;
                         let mr_eff = MR.min(mc - i0);
                         let a_sl = &packed_a[is * kc * MR..(is + 1) * kc * MR];
-                        let mut acc = [T::ZERO; MR * NR];
+                        let mut acc = [T::Acc::ZERO; MR * NR];
                         // default geometry, but still engine-dispatched:
                         // the 8×4 SIMD variants exist for both engines
                         crate::microkernel::run_ukernel(

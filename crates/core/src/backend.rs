@@ -214,8 +214,9 @@ impl Backend for HostCpu {
             total += match call.precision {
                 Precision::F32 => self.run_once::<f32>(call, iters),
                 Precision::F64 => self.run_once::<f64>(call, iters),
-                // half formats run the generic kernels on 16-bit storage —
-                // real measured cost of the software-widened path
+                // half formats: 16-bit storage on the f32 GEMM path (widened
+                // at pack time, f32-accumulate, narrowed once); GEMV still
+                // rounds per operation
                 Precision::Bf16 => self.run_once::<blob_blas::Bf16>(call, iters),
                 Precision::F16 => self.run_once::<blob_blas::F16>(call, iters),
                 Precision::F64Emul(_) => self.run_once_emul(call, iters),
