@@ -23,7 +23,10 @@
 #   5. cargo test -q            the full workspace test suite
 #   6. ledger self-tests        cargo test on ledger/ (its own workspace): a
 #                               public name the benchmark imports cannot
-#                               break here without failing CI first
+#                               break here without failing CI first; then a
+#                               1 s model_tables run must report "failed":0
+#                               (every pass bit-identical, 615 thresholds,
+#                               the six pinned goldens)
 #   7. SIMD agreement           the simd_agreement property suite runs twice:
 #                               once on the detected engine and once under
 #                               GPU_BLOB_NO_SIMD=1, proving the forced-scalar
@@ -93,6 +96,11 @@ cargo test -q --workspace --offline
 
 echo "==> ledger self-tests (the benchmark still builds against the workspace)"
 cargo test -q --offline --manifest-path ledger/Cargo.toml
+# the paper's tables through the ledger: per-pass bit identity, the
+# threshold count and the pinned goldens must all hold
+TABLES_OUT="$(cargo run --release --offline --quiet --manifest-path ledger/Cargo.toml -- \
+    --workload model_tables --seconds 1)"
+grep -q '"failed":0' <<<"$TABLES_OUT"
 
 echo "==> SIMD agreement and precision oracle under forced-scalar (GPU_BLOB_NO_SIMD=1)"
 GPU_BLOB_NO_SIMD=1 cargo test -q -p blob-blas --test simd_agreement --offline

@@ -13,6 +13,7 @@
 //! writer and plots are agnostic to the timing source — exactly how the C++
 //! artifact separates kernel drivers from its harness.
 
+use crate::runner::{GpuSample, GpuSamples};
 use blob_blas::{gemm_emul, gemm_parallel, gemv_emul, gemv_parallel};
 use blob_sim::{BlasCall, Kernel, Offload, Precision, SystemModel};
 use std::time::Instant;
@@ -26,6 +27,20 @@ pub trait Backend {
     /// Total GPU seconds (including data movement) for `iters` iterations
     /// under `offload`, or `None` when no GPU is available.
     fn gpu_seconds(&self, call: &BlasCall, iters: u32, offload: Offload) -> Option<f64>;
+    /// One [`GpuSample`] per offload in `offloads` that this backend can
+    /// time, in order. The default calls [`Backend::gpu_seconds`] once per
+    /// offload; an override is purely an optimisation and must return
+    /// bit-identical samples.
+    fn gpu_samples(&self, call: &BlasCall, iters: u32, offloads: &[Offload]) -> GpuSamples {
+        let total_flops = iters as f64 * call.paper_flops();
+        offloads
+            .iter()
+            .filter_map(|&o| {
+                let seconds = self.gpu_seconds(call, iters, o)?;
+                Some(GpuSample::timed(o, seconds, total_flops))
+            })
+            .collect()
+    }
     /// The offload strategies this backend can time.
     fn offloads(&self) -> Vec<Offload> {
         if self
@@ -52,6 +67,13 @@ impl Backend for SystemModel {
     }
     fn gpu_seconds(&self, call: &BlasCall, iters: u32, offload: Offload) -> Option<f64> {
         SystemModel::gpu_seconds(self, call, iters, offload)
+    }
+    /// Prices the GPU kernel once per call rather than once per offload.
+    fn gpu_samples(&self, call: &BlasCall, iters: u32, offloads: &[Offload]) -> GpuSamples {
+        let total_flops = iters as f64 * call.paper_flops();
+        self.gpu_seconds_each(call, iters, offloads)
+            .map(|(o, seconds)| GpuSample::timed(o, seconds, total_flops))
+            .collect()
     }
 }
 

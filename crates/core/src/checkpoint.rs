@@ -15,7 +15,7 @@
 use crate::atomicio::write_atomic;
 use crate::fault;
 use crate::problem::Problem;
-use crate::runner::{GpuSample, SizeRecord, SweepConfig};
+use crate::runner::{GpuSample, GpuSamples, SizeRecord, SweepConfig};
 use crate::wire::Json;
 use blob_sim::{Kernel, Offload, Precision};
 use std::path::Path;
@@ -159,7 +159,14 @@ fn record_from_json(j: &Json) -> Result<SizeRecord, CheckpointError> {
         .get("gpu")
         .and_then(Json::as_arr)
         .ok_or_else(|| CheckpointError::Parse("record missing `gpu` array".to_string()))?;
-    let mut gpu = Vec::with_capacity(gpu_items.len());
+    if gpu_items.len() > GpuSamples::CAPACITY {
+        return Err(CheckpointError::Parse(format!(
+            "record has {} gpu samples; at most {} (one per offload)",
+            gpu_items.len(),
+            GpuSamples::CAPACITY
+        )));
+    }
+    let mut gpu = GpuSamples::default();
     for g in gpu_items {
         let label = get_str(g, "offload")?;
         let offload: Offload = label
@@ -169,7 +176,13 @@ fn record_from_json(j: &Json) -> Result<SizeRecord, CheckpointError> {
             offload,
             seconds: from_bits(g.get("seconds_bits").unwrap_or(&Json::Null), "gpu seconds")?,
             gflops: from_bits(g.get("gflops_bits").unwrap_or(&Json::Null), "gpu gflops")?,
-        });
+        })
+        .map_err(|dup| {
+            CheckpointError::Parse(format!(
+                "record repeats the gpu sample for offload {:?}",
+                dup.offload.label()
+            ))
+        })?;
     }
     Ok(SizeRecord {
         param: get_u64(j, "param")? as usize,
@@ -397,6 +410,56 @@ mod tests {
         ck.save(&path).unwrap();
         assert_eq!(Checkpoint::load(&path).unwrap(), ck);
         std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// A one-record checkpoint whose `gpu` array is replaced by
+    /// hand-written samples, one per offload label.
+    fn with_gpu_labels(labels: &[&str]) -> String {
+        let mut ck = sample();
+        ck.records.truncate(1);
+        ck.records[0].gpu = GpuSamples::default();
+        let gpu: Vec<Json> = labels
+            .iter()
+            .map(|&label| {
+                Json::obj()
+                    .field("offload", label)
+                    .field("seconds_bits", bits(1.0))
+                    .field("gflops_bits", bits(2.0))
+                    .build()
+            })
+            .collect();
+        let text = ck.to_json_string();
+        assert!(text.contains("\"gpu\": []"), "{text}");
+        text.replace(
+            "\"gpu\": []",
+            &format!("\"gpu\": {}", Json::Arr(gpu).encode()),
+        )
+    }
+
+    #[test]
+    fn a_full_set_of_distinct_offloads_parses() {
+        let text = with_gpu_labels(&["Once", "Always", "USM", "First-Touch"]);
+        let ck = Checkpoint::parse(&text).unwrap();
+        let offloads: Vec<Offload> = ck.records[0].gpu.iter().map(|g| g.offload).collect();
+        assert_eq!(offloads, Offload::WITH_FIRST_TOUCH);
+    }
+
+    #[test]
+    fn more_samples_than_offloads_is_a_parse_error() {
+        let text = with_gpu_labels(&["Once", "Always", "USM", "First-Touch", "Once"]);
+        match Checkpoint::parse(&text) {
+            Err(CheckpointError::Parse(e)) => assert!(e.contains("5 gpu samples"), "{e}"),
+            other => panic!("expected a parse error, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn a_repeated_offload_is_a_parse_error() {
+        let text = with_gpu_labels(&["Once", "Always", "once"]);
+        match Checkpoint::parse(&text) {
+            Err(CheckpointError::Parse(e)) => assert!(e.contains("repeats"), "{e}"),
+            other => panic!("expected a parse error, got {other:?}"),
+        }
     }
 
     #[test]

@@ -3,9 +3,8 @@
 
 use crate::backend::Backend;
 use crate::custom::CustomProblem;
-use crate::runner::{GpuSample, SizeRecord, SweepConfig};
-use crate::threshold::{offload_threshold_index, ThresholdPoint};
-use blob_sim::{BlasCall, Kernel, Offload, Precision};
+use crate::runner::{measure_size, records_threshold, sweep_call, SizeRecord, SweepConfig};
+use blob_sim::{Kernel, Offload, Precision};
 
 /// A completed sweep of a custom problem family.
 #[derive(Debug, Clone, PartialEq)]
@@ -26,17 +25,7 @@ impl CustomSweep {
     /// The offload threshold for `offload` (same §III-D semantics as the
     /// built-in problems).
     pub fn threshold(&self, offload: Offload) -> Option<Kernel> {
-        let points: Option<Vec<ThresholdPoint>> = self
-            .records
-            .iter()
-            .map(|r| {
-                r.gpu_sample(offload).map(|g| ThresholdPoint {
-                    cpu_seconds: r.cpu_seconds,
-                    gpu_seconds: g.seconds,
-                })
-            })
-            .collect();
-        offload_threshold_index(&points?).map(|i| self.records[i].kernel)
+        records_threshold(&self.records, offload)
     }
 }
 
@@ -53,31 +42,8 @@ pub fn run_custom_sweep(
         .params(cfg.min_dim(), cfg.max_dim(), cfg.step())
         .into_iter()
         .map(|p| {
-            let call = BlasCall {
-                kernel: problem.dims(p),
-                precision,
-                alpha: cfg.alpha(),
-                beta: cfg.beta(),
-            };
-            let cpu_seconds = backend.cpu_seconds(&call, iters);
-            let total_flops = iters as f64 * call.paper_flops();
-            let gpu = offloads
-                .iter()
-                .filter_map(|&o| {
-                    backend.gpu_seconds(&call, iters, o).map(|s| GpuSample {
-                        offload: o,
-                        seconds: s,
-                        gflops: total_flops / s / 1e9,
-                    })
-                })
-                .collect();
-            SizeRecord {
-                param: p,
-                kernel: call.kernel,
-                cpu_seconds,
-                cpu_gflops: total_flops / cpu_seconds / 1e9,
-                gpu,
-            }
+            let call = sweep_call(problem.dims(p), precision, cfg);
+            measure_size(backend, p, &call, iters, &offloads)
         })
         .collect();
     CustomSweep {

@@ -64,8 +64,8 @@ pub use custom::{CustomProblem, DimRule};
 pub use custom_runner::{run_custom_sweep, CustomSweep};
 pub use problem::{GemmProblem, GemvProblem, Problem};
 pub use runner::{
-    run_sweep, run_sweep_pooled, ConfigError, GpuSample, SizeRecord, Sweep, SweepConfig,
-    SweepConfigBuilder,
+    run_sweep, run_sweep_pooled, ConfigError, GpuSample, GpuSamples, SizeRecord, Sweep,
+    SweepConfig, SweepConfigBuilder,
 };
 pub use threshold::{offload_threshold_from_times, offload_threshold_index, ThresholdPoint};
 pub use validate::{validate_call, ValidationReport, CHECKSUM_TOLERANCE};

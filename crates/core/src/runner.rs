@@ -7,7 +7,7 @@ use crate::backend::Backend;
 use crate::checkpoint::{Checkpoint, CheckpointError};
 use crate::fault;
 use crate::problem::Problem;
-use crate::threshold::{offload_threshold_index, ThresholdPoint};
+use crate::threshold::{threshold_scan, ThresholdPoint};
 use crate::trace;
 use blob_sim::{BlasCall, Kernel, Offload, Precision};
 
@@ -254,6 +254,96 @@ pub struct GpuSample {
     pub gflops: f64,
 }
 
+impl GpuSample {
+    /// A sample of `seconds` for work of `total_flops` (all iterations).
+    pub(crate) fn timed(offload: Offload, seconds: f64, total_flops: f64) -> Self {
+        Self {
+            offload,
+            seconds,
+            gflops: total_flops / seconds / 1e9,
+        }
+    }
+}
+
+/// The GPU samples of one size, stored inline: at most one per [`Offload`]
+/// variant, so a [`SizeRecord`] owns no heap memory. Dereferences to
+/// `[GpuSample]` in insertion order.
+#[derive(Clone, Copy)]
+pub struct GpuSamples {
+    len: usize,
+    slots: [GpuSample; GpuSamples::CAPACITY],
+}
+
+impl GpuSamples {
+    /// One slot per [`Offload`] variant.
+    pub(crate) const CAPACITY: usize = Offload::WITH_FIRST_TOUCH.len();
+
+    /// Appends `sample`, or hands it back when its offload already has one.
+    pub fn push(&mut self, sample: GpuSample) -> Result<(), GpuSample> {
+        if self.iter().any(|g| g.offload == sample.offload) {
+            return Err(sample);
+        }
+        // One sample per variant, so a distinct offload always finds a slot.
+        let slot = self.slots.get_mut(self.len).ok_or(sample)?;
+        *slot = sample;
+        self.len += 1;
+        Ok(())
+    }
+}
+
+impl Default for GpuSamples {
+    fn default() -> Self {
+        let empty = GpuSample {
+            offload: Offload::TransferOnce,
+            seconds: 0.0,
+            gflops: 0.0,
+        };
+        Self {
+            len: 0,
+            slots: [empty; GpuSamples::CAPACITY],
+        }
+    }
+}
+
+impl std::ops::Deref for GpuSamples {
+    type Target = [GpuSample];
+    fn deref(&self) -> &[GpuSample] {
+        &self.slots[..self.len]
+    }
+}
+
+impl PartialEq for GpuSamples {
+    fn eq(&self, other: &Self) -> bool {
+        **self == **other
+    }
+}
+
+impl std::fmt::Debug for GpuSamples {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_list().entries(self.iter()).finish()
+    }
+}
+
+impl FromIterator<GpuSample> for GpuSamples {
+    /// Collects samples in order; a repeated offload keeps its first
+    /// sample, the one [`SizeRecord::gpu_sample`] would return.
+    fn from_iter<I: IntoIterator<Item = GpuSample>>(iter: I) -> Self {
+        let mut samples = Self::default();
+        for sample in iter {
+            let _ = samples.push(sample);
+        }
+        samples
+    }
+}
+
+impl<'a> IntoIterator for &'a GpuSamples {
+    type Item = &'a GpuSample;
+    type IntoIter = std::slice::Iter<'a, GpuSample>;
+    fn into_iter(self) -> Self::IntoIter {
+        self.iter()
+    }
+}
+
 /// Everything measured at one problem size.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SizeRecord {
@@ -265,8 +355,9 @@ pub struct SizeRecord {
     pub cpu_seconds: f64,
     /// Achieved CPU GFLOP/s (paper FLOPs formula).
     pub cpu_gflops: f64,
-    /// GPU samples, one per offload strategy (empty on CPU-only backends).
-    pub gpu: Vec<GpuSample>,
+    /// GPU samples, inline (no heap): at most one per offload strategy, in
+    /// [`Backend::offloads`] order; empty on CPU-only backends.
+    pub gpu: GpuSamples,
 }
 
 impl SizeRecord {
@@ -274,6 +365,23 @@ impl SizeRecord {
     pub fn gpu_sample(&self, offload: Offload) -> Option<&GpuSample> {
         self.gpu.iter().find(|g| g.offload == offload)
     }
+}
+
+/// The offload threshold of a record series for `offload`: one scan of
+/// the records, no allocation. `None` when any size lacks a sample.
+pub(crate) fn records_threshold(records: &[SizeRecord], offload: Offload) -> Option<Kernel> {
+    let i = threshold_scan(records.len(), |i| {
+        let r = records.get(i)?;
+        let gpu = r.gpu_sample(offload)?;
+        Some(
+            ThresholdPoint {
+                cpu_seconds: r.cpu_seconds,
+                gpu_seconds: gpu.seconds,
+            }
+            .cpu_wins(),
+        )
+    })?;
+    records.get(i).map(|r| r.kernel)
 }
 
 /// A completed sweep of one (problem type, precision, iteration count).
@@ -296,18 +404,7 @@ impl Sweep {
     /// first size from which the GPU durably wins, or `None` (the paper's
     /// `—`). Also `None` when the backend measured no GPU.
     pub fn threshold(&self, offload: Offload) -> Option<Kernel> {
-        let points: Option<Vec<ThresholdPoint>> = self
-            .records
-            .iter()
-            .map(|r| {
-                r.gpu_sample(offload).map(|g| ThresholdPoint {
-                    cpu_seconds: r.cpu_seconds,
-                    gpu_seconds: g.seconds,
-                })
-            })
-            .collect();
-        let points = points?;
-        offload_threshold_index(&points).map(|i| self.records[i].kernel)
+        records_threshold(&self.records, offload)
     }
 
     /// CPU GFLOP/s series (for plotting).
@@ -329,7 +426,11 @@ impl Sweep {
 
 /// Builds the call for one problem size under a sweep configuration.
 pub fn call_for(problem: Problem, precision: Precision, p: usize, cfg: &SweepConfig) -> BlasCall {
-    let kernel = problem.dims(p);
+    sweep_call(problem.dims(p), precision, cfg)
+}
+
+/// The call for dimensions `kernel` under a sweep configuration.
+pub(crate) fn sweep_call(kernel: Kernel, precision: Precision, cfg: &SweepConfig) -> BlasCall {
     BlasCall {
         kernel,
         precision,
@@ -356,7 +457,15 @@ pub fn run_sweep(
     let records = problem
         .params(cfg.min_dim, cfg.max_dim, cfg.step)
         .into_iter()
-        .map(|p| measure_size(backend, problem, precision, p, cfg, iters, &offloads))
+        .map(|p| {
+            measure_size(
+                backend,
+                p,
+                &call_for(problem, precision, p, cfg),
+                iters,
+                &offloads,
+            )
+        })
         .collect();
     Sweep {
         system: backend.name(),
@@ -367,14 +476,19 @@ pub fn run_sweep(
     }
 }
 
-/// Measures one problem size: CPU, then each offload strategy — the
-/// artifact's interleaved collection order.
-fn measure_size(
+/// Measures size parameter `p`, whose call is `call`: CPU, then each
+/// offload strategy — the artifact's interleaved collection order.
+/// Built-in and custom problem families both sweep through here.
+///
+/// The call comes by reference, built by the caller, so the models read
+/// it where it was written. Copying a just-built kernel into a fresh call
+/// here is one wide load over narrow stores: the CPU cannot forward it,
+/// and every size then waits for the previous one to retire (~30 ns a
+/// point on a modelled sweep).
+pub(crate) fn measure_size(
     backend: &dyn Backend,
-    problem: Problem,
-    precision: Precision,
     p: usize,
-    cfg: &SweepConfig,
+    call: &BlasCall,
     iters: u32,
     offloads: &[Offload],
 ) -> SizeRecord {
@@ -391,31 +505,20 @@ fn measure_size(
             break;
         }
     }
-    let call = call_for(problem, precision, p, cfg);
-    let cpu_seconds = backend.cpu_seconds(&call, iters);
+    let cpu_seconds = backend.cpu_seconds(call, iters);
     let total_flops = iters as f64 * call.paper_flops();
-    let cpu_gflops = total_flops / cpu_seconds / 1e9;
-    let gpu = offloads
-        .iter()
-        .filter_map(|&o| {
-            backend.gpu_seconds(&call, iters, o).map(|s| GpuSample {
-                offload: o,
-                seconds: s,
-                gflops: total_flops / s / 1e9,
-            })
-        })
-        .collect();
     SizeRecord {
         param: p,
         kernel: call.kernel,
         cpu_seconds,
-        cpu_gflops,
-        gpu,
+        cpu_gflops: total_flops / cpu_seconds / 1e9,
+        gpu: backend.gpu_samples(call, iters, offloads),
     }
 }
 
-/// [`run_sweep`], with the per-size measurement loop fanned out over a
-/// persistent [`ThreadPool`] in contiguous chunks. The returned [`Sweep`]
+/// [`run_sweep`], with the per-size measurement loop split into one
+/// contiguous chunk per pool thread: the calling thread measures the first
+/// and the persistent [`ThreadPool`] the rest. The returned [`Sweep`]
 /// is **identical** to the serial one — records stay in sweep order and
 /// each size is measured exactly once.
 ///
@@ -443,40 +546,49 @@ where
     let offloads = backend.offloads();
     let iters = cfg.iterations.max(1);
     let cfg = *cfg;
-    let slots: Arc<Mutex<Vec<Option<SizeRecord>>>> = Arc::new(Mutex::new(vec![None; params.len()]));
     let per = params.len().div_ceil(workers);
+    let mut chunks = params.chunks(per);
+    let first = chunks.next().unwrap_or_default();
+    // The pool measures every chunk after the first, each into a local Vec
+    // handed back under one lock; this thread measures the first meanwhile
+    // straight into the result.
+    let handed: Arc<Mutex<Vec<Vec<SizeRecord>>>> =
+        Arc::new(Mutex::new(vec![Vec::new(); chunks.len()]));
     let mut batch = pool.batch();
-    for (chunk_idx, chunk) in params.chunks(per).enumerate() {
+    for (chunk_idx, chunk) in chunks.enumerate() {
         let chunk = chunk.to_vec();
         let backend = Arc::clone(&backend);
-        let slots = Arc::clone(&slots);
+        let handed = Arc::clone(&handed);
         let offloads = offloads.clone();
-        let base = chunk_idx * per;
         batch.submit(move || {
-            for (j, p) in chunk.into_iter().enumerate() {
-                let rec = measure_size(
-                    backend.as_ref(),
-                    problem,
-                    precision,
-                    p,
-                    &cfg,
-                    iters,
-                    &offloads,
-                );
-                let mut s = slots
-                    .lock()
-                    .unwrap_or_else(|poisoned| poisoned.into_inner());
-                s[base + j] = Some(rec);
+            let records: Vec<SizeRecord> = chunk
+                .into_iter()
+                .map(|p| {
+                    let call = call_for(problem, precision, p, &cfg);
+                    measure_size(backend.as_ref(), p, &call, iters, &offloads)
+                })
+                .collect();
+            let mut h = handed
+                .lock()
+                .unwrap_or_else(|poisoned| poisoned.into_inner());
+            if let Some(slot) = h.get_mut(chunk_idx) {
+                *slot = records;
             }
         });
     }
+    let mut records = Vec::with_capacity(params.len());
+    records.extend(first.iter().map(|&p| {
+        let call = call_for(problem, precision, p, &cfg);
+        measure_size(backend.as_ref(), p, &call, iters, &offloads)
+    }));
     batch.wait();
-    // The batch barrier guarantees every slot was filled; `flatten` is the
-    // panic-free way to say so.
-    let mut s = slots
+    // The batch barrier guarantees every chunk was handed back.
+    let mut h = handed
         .lock()
         .unwrap_or_else(|poisoned| poisoned.into_inner());
-    let records = std::mem::take(&mut *s).into_iter().flatten().collect();
+    for chunk in std::mem::take(&mut *h) {
+        records.extend(chunk);
+    }
     Sweep {
         system: backend.name(),
         problem,
@@ -621,7 +733,13 @@ pub fn run_sweep_checkpointed(
     let watchdog = size_budget.map(Watchdog::start);
     let mut save_failed = false;
     for &p in params.iter().skip(resumed) {
-        let rec = measure_size(backend, problem, precision, p, cfg, iters, &offloads);
+        let rec = measure_size(
+            backend,
+            p,
+            &call_for(problem, precision, p, cfg),
+            iters,
+            &offloads,
+        );
         ck.records.push(rec);
         if let Some(w) = &watchdog {
             w.advance();
@@ -875,7 +993,10 @@ mod tests {
         let _guard = crate::fault::CHAOS_LOCK
             .lock()
             .unwrap_or_else(|e| e.into_inner());
-        let plan = crate::fault::Plan::parse("seed=5;runner.size:delay(40ms)@1x1").unwrap();
+        // The plan is process-global and other tests' sweeps (without the
+        // lock) can take a delay too; each such sweep then sleeps 40 ms, so
+        // eight delays leave some for this sweep's first size.
+        let plan = crate::fault::Plan::parse("seed=5;runner.size:delay(40ms)@1x8").unwrap();
         crate::fault::install(&plan);
         let sys = presets::dawn();
         let cfg = SweepConfig::new(1, 3, 1);

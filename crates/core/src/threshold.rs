@@ -37,54 +37,53 @@ impl ThresholdPoint {
 /// (two consecutive CPU wins are considered real CPU dominance). Returns
 /// `None` when the GPU never durably takes over, or the series is empty.
 pub fn offload_threshold_index(points: &[ThresholdPoint]) -> Option<usize> {
-    if points.is_empty() {
-        return None;
-    }
-    // A CPU win is "real" when it spans two consecutive sizes (or happens
-    // at the very first size, where there is no prior context).
-    let real_cpu_win =
-        |i: usize| -> bool { points[i].cpu_wins() && (i == 0 || points[i - 1].cpu_wins()) };
-    // The last size at which the CPU really wins; the threshold is the
-    // next size — provided the GPU actually wins from there on (modulo
-    // isolated dips), which it does by construction of `real_cpu_win`
-    // *except* when the CPU win extends to the very end of the series.
-    let last_real_cpu = (0..points.len()).rev().find(|&i| real_cpu_win(i));
-    match last_real_cpu {
-        // The CPU never durably wins (a win at index 0 would count as
-        // real, so this branch implies the GPU wins at the first size):
-        // the GPU is better from the start — LUMI's {2,2,2} case.
-        None => Some(0),
-        Some(i) if i + 1 < points.len() => {
-            // GPU must genuinely win at the threshold itself.
-            if points[i + 1].cpu_wins() {
-                // A trailing isolated CPU dip right after the last real CPU
-                // win: step past it (it cannot itself be "real" or it would
-                // have been found instead of i).
-                if i + 2 < points.len() {
-                    Some(i + 2)
-                } else {
-                    None
-                }
-            } else {
-                Some(i + 1)
-            }
-        }
-        Some(_) => None, // CPU wins through the end of the sweep
-    }
+    threshold_scan(points.len(), |i| {
+        points.get(i).map(ThresholdPoint::cpu_wins)
+    })
 }
 
-/// Convenience wrapper: builds points from parallel CPU/GPU time slices.
+/// Convenience wrapper over parallel CPU/GPU time slices.
 pub fn offload_threshold_from_times(cpu: &[f64], gpu: &[f64]) -> Option<usize> {
     assert_eq!(cpu.len(), gpu.len(), "series length mismatch");
-    let pts: Vec<ThresholdPoint> = cpu
-        .iter()
-        .zip(gpu.iter())
-        .map(|(&c, &g)| ThresholdPoint {
-            cpu_seconds: c,
-            gpu_seconds: g,
-        })
-        .collect();
-    offload_threshold_index(&pts)
+    threshold_scan(cpu.len(), |i| {
+        let point = ThresholdPoint {
+            cpu_seconds: *cpu.get(i)?,
+            gpu_seconds: *gpu.get(i)?,
+        };
+        Some(point.cpu_wins())
+    })
+}
+
+/// The detector behind every threshold: one forward pass over `len`
+/// ascending sizes that reads whether the CPU wins at size `i` from
+/// `cpu_wins(i)` and allocates nothing. A `None` from the closure (a size
+/// with no GPU measurement) means the series has no threshold.
+pub(crate) fn threshold_scan(
+    len: usize,
+    mut cpu_wins: impl FnMut(usize) -> Option<bool>,
+) -> Option<usize> {
+    // A CPU win is "real" when it spans two consecutive sizes, or happens
+    // at the very first size, where there is no prior context.
+    let mut last_real_cpu = None;
+    let mut cpu_won_before = true;
+    for i in 0..len {
+        let cpu_won = cpu_wins(i)?;
+        if cpu_won && cpu_won_before {
+            last_real_cpu = Some(i);
+        }
+        cpu_won_before = cpu_won;
+    }
+    match last_real_cpu {
+        // The CPU never durably wins (a win at the first size would count
+        // as real, so the GPU wins there): the GPU is better from the
+        // start — LUMI's {2,2,2} case. An empty series has no threshold.
+        None => (len > 0).then_some(0),
+        // The threshold is the next size. The GPU wins there: a CPU win
+        // right after a real one would itself be real. Every later CPU win
+        // is an isolated dip. A real CPU win at the last size means the
+        // CPU wins through the end of the sweep.
+        Some(i) => (i + 1 < len).then_some(i + 1),
+    }
 }
 
 #[cfg(test)]

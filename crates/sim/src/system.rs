@@ -82,10 +82,30 @@ impl SystemModel {
     /// `None` for CPU-only configurations. Includes all host↔device data
     /// movement, matching the paper's GPU timing rule (§III-A).
     pub fn gpu_seconds(&self, call: &BlasCall, iters: u32, offload: Offload) -> Option<f64> {
-        let gpu = self.gpu.as_ref()?;
-        let lib = self.gpu_lib.as_ref()?;
+        self.priced(call, iters, self.gpu_kernel_only_seconds(call)?, offload)
+    }
+
+    /// [`Self::gpu_seconds`] for each of `offloads` in order, skipping the
+    /// ones this system cannot price, with the GPU kernel priced once
+    /// rather than once per offload. Bit-identical to calling
+    /// `gpu_seconds` per offload; empty on a CPU-only system.
+    pub fn gpu_seconds_each<'a>(
+        &'a self,
+        call: &'a BlasCall,
+        iters: u32,
+        offloads: &'a [Offload],
+    ) -> impl Iterator<Item = (Offload, f64)> + 'a {
+        let kernel = self.gpu_kernel_only_seconds(call);
+        offloads
+            .iter()
+            .filter_map(move |&o| Some((o, self.priced(call, iters, kernel?, o)?)))
+    }
+
+    /// The one place transfer, USM and first-touch costs are priced: total
+    /// seconds for `iters` iterations of a GPU kernel taking `kernel`
+    /// seconds per execution, moved under `offload`.
+    fn priced(&self, call: &BlasCall, iters: u32, kernel: f64, offload: Offload) -> Option<f64> {
         let link = self.link.as_ref()?;
-        let kernel = gpu_kernel_seconds(gpu, lib, call);
         let bytes_in = call.bytes_to_device();
         let bytes_out = call.bytes_from_device();
         let t = match offload {
