@@ -26,7 +26,10 @@
 #                               break here without failing CI first; then a
 #                               1 s model_tables run must report "failed":0
 #                               (every pass bit-identical, 615 thresholds,
-#                               the six pinned goldens)
+#                               the six pinned goldens), and so must 1 s
+#                               precision_ladder and gemv_stream runs (every
+#                               operand-slot type switch, and a seeded
+#                               validation lend after timing lends)
 #   7. SIMD agreement           the simd_agreement property suite runs twice:
 #                               once on the detected engine and once under
 #                               GPU_BLOB_NO_SIMD=1, proving the forced-scalar
@@ -96,11 +99,14 @@ cargo test -q --workspace --offline
 
 echo "==> ledger self-tests (the benchmark still builds against the workspace)"
 cargo test -q --offline --manifest-path ledger/Cargo.toml
-# the paper's tables through the ledger: per-pass bit identity, the
-# threshold count and the pinned goldens must all hold
-TABLES_OUT="$(cargo run --release --offline --quiet --manifest-path ledger/Cargo.toml -- \
-    --workload model_tables --seconds 1)"
-grep -q '"failed":0' <<<"$TABLES_OUT"
+# the paper's tables through the ledger (per-pass bit identity, the
+# threshold count and the pinned goldens), then the host kernel workloads'
+# validation and golden checks, must all hold
+for workload in model_tables precision_ladder gemv_stream; do
+    LEDGER_OUT="$(cargo run --release --offline --quiet --manifest-path ledger/Cargo.toml -- \
+        --workload "$workload" --seconds 1)"
+    grep -q '"failed":0' <<<"$LEDGER_OUT"
+done
 
 echo "==> SIMD agreement and precision oracle under forced-scalar (GPU_BLOB_NO_SIMD=1)"
 GPU_BLOB_NO_SIMD=1 cargo test -q -p blob-blas --test simd_agreement --offline

@@ -13,6 +13,7 @@
 //! writer and plots are agnostic to the timing source — exactly how the C++
 //! artifact separates kernel drivers from its harness.
 
+use crate::operands::{with_operands, Fill};
 use crate::runner::{GpuSample, GpuSamples};
 use blob_blas::{gemm_emul, gemm_parallel, gemv_emul, gemv_parallel};
 use blob_sim::{BlasCall, Kernel, Offload, Precision, SystemModel};
@@ -109,119 +110,55 @@ impl HostCpu {
         let alpha = T::from_f64(call.alpha);
         let beta = T::from_f64(call.beta);
         match call.kernel {
-            Kernel::Gemm { m, n, k } => {
-                let a = vec![T::from_f64(0.5); m.max(1) * k.max(1)];
-                let b = vec![T::from_f64(0.25); k.max(1) * n.max(1)];
-                let mut c = vec![T::ZERO; m.max(1) * n.max(1)];
-                let start = Instant::now();
-                for _ in 0..iters {
-                    // Buffers are sized to the call right above, so the
-                    // contract holds by construction.
-                    let _ = gemm_parallel(
-                        self.threads,
-                        m,
-                        n,
-                        k,
-                        alpha,
-                        &a,
-                        m.max(1),
-                        &b,
-                        k.max(1),
-                        beta,
-                        &mut c,
-                        m.max(1),
-                    );
-                }
-                let t = start.elapsed().as_secs_f64();
-                std::hint::black_box(&c);
-                t
-            }
-            Kernel::Gemv { m, n } => {
-                let a = vec![T::from_f64(0.5); m.max(1) * n.max(1)];
-                let x = vec![T::from_f64(0.25); n.max(1)];
-                let mut y = vec![T::ZERO; m.max(1)];
-                let start = Instant::now();
-                for _ in 0..iters {
-                    // Tight layout built above; the contract holds by
-                    // construction.
-                    let _ = gemv_parallel(
-                        self.threads,
-                        m,
-                        n,
-                        alpha,
-                        &a,
-                        m.max(1),
-                        &x,
-                        1,
-                        beta,
-                        &mut y,
-                        1,
-                    );
-                }
-                let t = start.elapsed().as_secs_f64();
-                std::hint::black_box(&y);
-                t
-            }
+            Kernel::Gemm { m, n, k } => time_on_operands(call, iters, |a, b, c| {
+                let (lda, ldb) = (m.max(1), k.max(1));
+                let _ = gemm_parallel(self.threads, m, n, k, alpha, a, lda, b, ldb, beta, c, lda);
+            }),
+            Kernel::Gemv { m, n } => time_on_operands(call, iters, |a, x, y| {
+                let _ = gemv_parallel(self.threads, m, n, alpha, a, m.max(1), x, 1, beta, y, 1);
+            }),
         }
     }
 
     /// Times the Ozaki emulated-f64 kernels: the measured cost includes
     /// the slicing, the K² f32 GEMMs, and the f64 recombination.
     fn run_once_emul(&self, call: &BlasCall, iters: u32) -> f64 {
-        let precision = call.precision;
+        let (precision, alpha, beta) = (call.precision, call.alpha, call.beta);
         match call.kernel {
-            Kernel::Gemm { m, n, k } => {
-                let a = vec![0.5f64; m.max(1) * k.max(1)];
-                let b = vec![0.25f64; k.max(1) * n.max(1)];
-                let mut c = vec![0.0f64; m.max(1) * n.max(1)];
-                let start = Instant::now();
-                for _ in 0..iters {
-                    // Buffers sized to the call, so the contract holds.
-                    let _ = gemm_emul(
-                        precision,
-                        m,
-                        n,
-                        k,
-                        call.alpha,
-                        &a,
-                        m.max(1),
-                        &b,
-                        k.max(1),
-                        call.beta,
-                        &mut c,
-                        m.max(1),
-                    );
-                }
-                let t = start.elapsed().as_secs_f64();
-                std::hint::black_box(&c);
-                t
-            }
-            Kernel::Gemv { m, n } => {
-                let a = vec![0.5f64; m.max(1) * n.max(1)];
-                let x = vec![0.25f64; n.max(1)];
-                let mut y = vec![0.0f64; m.max(1)];
-                let start = Instant::now();
-                for _ in 0..iters {
-                    let _ = gemv_emul(
-                        precision,
-                        m,
-                        n,
-                        call.alpha,
-                        &a,
-                        m.max(1),
-                        &x,
-                        1,
-                        call.beta,
-                        &mut y,
-                        1,
-                    );
-                }
-                let t = start.elapsed().as_secs_f64();
-                std::hint::black_box(&y);
-                t
-            }
+            Kernel::Gemm { m, n, k } => time_on_operands(call, iters, |a, b, c| {
+                let (lda, ldb) = (m.max(1), k.max(1));
+                let _ = gemm_emul(precision, m, n, k, alpha, a, lda, b, ldb, beta, c, lda);
+            }),
+            Kernel::Gemv { m, n } => time_on_operands(call, iters, |a, x, y| {
+                let _ = gemv_emul(precision, m, n, alpha, a, m.max(1), x, 1, beta, y, 1);
+            }),
         }
     }
+}
+
+/// Wall seconds of `iters` runs of `kernel(a, b, c)` on timing operands
+/// lent sized to `call`, every dimension at least 1, so the contracts hold.
+fn time_on_operands<T: blob_blas::Scalar>(
+    call: &BlasCall,
+    iters: u32,
+    mut kernel: impl FnMut(&[T], &[T], &mut [T]),
+) -> f64 {
+    let lens = match call.kernel {
+        Kernel::Gemm { m, n, k } => {
+            let (m, n, k) = (m.max(1), n.max(1), k.max(1));
+            (m * k, k * n, m * n)
+        }
+        Kernel::Gemv { m, n } => (m.max(1) * n.max(1), n.max(1), m.max(1)),
+    };
+    with_operands(Fill::Timing, lens, |a, b, c| {
+        let start = Instant::now();
+        for _ in 0..iters {
+            kernel(a, b, c);
+        }
+        let t = start.elapsed().as_secs_f64();
+        std::hint::black_box(c);
+        t
+    })
 }
 
 impl Backend for HostCpu {
@@ -294,5 +231,25 @@ mod tests {
         let host = HostCpu::with_threads(2);
         let call = BlasCall::gemv(Precision::F32, 256, 256);
         assert!(host.cpu_seconds(&call, 2) > 0.0);
+    }
+
+    #[test]
+    fn repeated_host_calls_reuse_one_operand_set() {
+        crate::operands::release();
+        let host = HostCpu::with_threads(1);
+        for call in [
+            BlasCall::gemm(Precision::F64, 48, 40, 56),
+            BlasCall::gemv(Precision::F64, 300, 200),
+        ] {
+            host.cpu_seconds(&call, 1);
+            let first = crate::operands::retained::<f64>().expect("an f64 set is retained");
+            host.cpu_seconds(&call, 1);
+            assert_eq!(
+                crate::operands::retained::<f64>(),
+                Some(first),
+                "{call:?}: same addresses and capacities"
+            );
+        }
+        crate::operands::release();
     }
 }

@@ -11,6 +11,8 @@
 //! - [`threshold`] — GPU offload-threshold detection (§III-D)
 //! - [`validate`] — constant-seed data init + 0.1 % checksum comparison
 //!   between independent kernel code paths (§III-B)
+//! - [`operands`] — the one thread-local operand set that `HostCpu` and
+//!   `validate_call` borrow instead of allocating per call
 //! - [`csv`] — the artifact's per-problem-type CSV output and its parser
 //! - [`wire`] — the workspace's JSON wire format: one escaper, one
 //!   encoder, one recursive-descent parser, shared by `blob-serve`,
@@ -42,6 +44,7 @@ pub mod csv;
 pub mod custom;
 pub mod custom_runner;
 pub mod fault;
+pub mod operands;
 pub mod problem;
 pub mod rng;
 pub mod runner;

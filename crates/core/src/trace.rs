@@ -103,12 +103,18 @@ struct Open {
     name: &'static str,
     cat: &'static str,
     start_ns: u64,
-    args: Vec<(&'static str, u64)>,
+    /// Where this span's annotations start in [`Local::args`].
+    args_from: usize,
 }
 
 struct Local {
     tid: u64,
     stack: Vec<Open>,
+    /// Annotations of the open spans, innermost last: a span only gets
+    /// annotated while it is innermost, so its annotations are contiguous.
+    /// A closing span copies its own out, so it holds exactly as many as
+    /// it was given, in one allocation (none without annotations).
+    args: Vec<(&'static str, u64)>,
     done: Vec<Span>,
 }
 
@@ -134,7 +140,7 @@ pub static TRACE_LOCK: Mutex<()> = Mutex::new(());
 
 thread_local! {
     static LOCAL: RefCell<Local> = const {
-        RefCell::new(Local { tid: 0, stack: Vec::new(), done: Vec::new() })
+        RefCell::new(Local { tid: 0, stack: Vec::new(), args: Vec::new(), done: Vec::new() })
     };
 }
 
@@ -183,10 +189,11 @@ pub fn take() -> Vec<Span> {
     std::mem::take(&mut *SINK.lock().unwrap_or_else(PoisonError::into_inner))
 }
 
-/// Clones the published spans without consuming them (the serve
-/// `GET /v1/trace` path).
-pub fn snapshot() -> Vec<Span> {
-    SINK.lock().unwrap_or_else(PoisonError::into_inner).clone()
+/// Clones the newest `n` published spans, oldest first, without consuming
+/// them (the serve `GET /v1/trace?last=N` path). Only those `n` are cloned.
+pub fn snapshot_last(n: usize) -> Vec<Span> {
+    let sink = SINK.lock().unwrap_or_else(PoisonError::into_inner);
+    sink[sink.len().saturating_sub(n)..].to_vec()
 }
 
 /// RAII guard for one span; the span closes when the guard drops.
@@ -240,13 +247,14 @@ pub fn begin(name: &'static str, cat: &'static str) {
             }
             let id = NEXT_ID.fetch_add(1, Ordering::Relaxed);
             let parent = l.stack.last().map_or(0, |o| o.id);
+            let args_from = l.args.len();
             l.stack.push(Open {
                 id,
                 parent,
                 name,
                 cat,
                 start_ns,
-                args: Vec::new(),
+                args_from,
             });
         }
     });
@@ -257,8 +265,8 @@ pub fn begin(name: &'static str, cat: &'static str) {
 pub fn annotate(key: &'static str, value: u64) {
     LOCAL.with(|cell| {
         if let Ok(mut l) = cell.try_borrow_mut() {
-            if let Some(open) = l.stack.last_mut() {
-                open.args.push((key, value));
+            if !l.stack.is_empty() {
+                l.args.push((key, value));
             }
         }
     });
@@ -272,6 +280,9 @@ pub fn end() {
         if let Ok(mut l) = cell.try_borrow_mut() {
             let tid = l.tid;
             let Some(open) = l.stack.pop() else { return };
+            let from = open.args_from.min(l.args.len());
+            let args = l.args[from..].to_vec();
+            l.args.truncate(from);
             l.done.push(Span {
                 id: open.id,
                 parent: open.parent,
@@ -280,7 +291,7 @@ pub fn end() {
                 start_ns: open.start_ns,
                 dur_ns: end_ns.saturating_sub(open.start_ns),
                 tid,
-                args: open.args,
+                args,
             });
             if l.stack.is_empty() || l.done.len() >= LOCAL_FLUSH {
                 publish(&mut l.done);
@@ -472,7 +483,7 @@ mod tests {
                 let _inner = span("inner", cats::RUNNER);
             }
             assert!(
-                snapshot().is_empty(),
+                snapshot_last(usize::MAX).is_empty(),
                 "spans stay in the thread buffer until the root span closes"
             );
         }
@@ -507,6 +518,60 @@ mod tests {
         let outer = spans.iter().find(|s| s.name == "outer").unwrap();
         assert_eq!(outer.args, vec![("outer_key", 1)]);
         assert_eq!(inner.args, vec![("inner_key", 2)]);
+    }
+
+    #[test]
+    fn a_once_annotated_span_holds_exactly_one_annotation_slot() {
+        let _t = TRACE_LOCK.lock().unwrap_or_else(PoisonError::into_inner);
+        reset();
+        enable();
+        {
+            let outer = span("outer", cats::RUNNER);
+            outer.annotate("before", 1);
+            {
+                let inner = span("inner", cats::RUNNER);
+                inner.annotate("param", 8);
+            }
+            outer.annotate("after", 2);
+        }
+        disable();
+        let spans = take();
+        clear();
+        let inner = spans.iter().find(|s| s.name == "inner").unwrap();
+        let outer = spans.iter().find(|s| s.name == "outer").unwrap();
+        assert_eq!(inner.args, vec![("param", 8)]);
+        assert_eq!(inner.args.capacity(), 1);
+        assert_eq!(outer.args, vec![("before", 1), ("after", 2)]);
+        assert_eq!(outer.args.capacity(), 2);
+    }
+
+    #[test]
+    fn snapshot_last_clones_the_newest_spans_oldest_first() {
+        let _t = TRACE_LOCK.lock().unwrap_or_else(PoisonError::into_inner);
+        reset();
+        enable();
+        let ours = ["snap.1", "snap.2", "snap.3", "snap.4", "snap.5"];
+        for name in ours {
+            let _root = span(name, cats::RUNNER);
+        }
+        disable();
+        let last = snapshot_last(3);
+        let all = snapshot_last(usize::MAX);
+        clear();
+        // spans other tests record meanwhile may interleave, but ours keep
+        // their publish order
+        let names: Vec<_> = all
+            .iter()
+            .map(|s| s.name)
+            .filter(|n| n.starts_with("snap."))
+            .collect();
+        assert_eq!(names, ours);
+        assert_eq!(
+            last[..],
+            all[all.len() - 3..],
+            "the newest three, oldest first, none consumed"
+        );
+        assert!(snapshot_last(0).is_empty());
     }
 
     #[test]

@@ -9,9 +9,10 @@
 //! different code path — different blocking, different summation order),
 //! and the checksums must agree within [`CHECKSUM_TOLERANCE`].
 
-use crate::rng::XorShift64;
+use crate::operands::{seeded, with_operands, Fill};
 use blob_blas::contract::checksum_tolerance;
 use blob_blas::scalar::Scalar;
+use blob_blas::ContractError;
 use blob_blas::{gemm_blocked, gemm_emul, gemm_parallel, gemv_emul, gemv_parallel, gemv_ref};
 use blob_sim::{BlasCall, Kernel, Precision};
 
@@ -35,12 +36,10 @@ pub struct ValidationReport {
 }
 
 /// Fills a buffer from a constant-seeded RNG (the artifact's `srand`-then-
-/// `rand` initialisation): same seed + same length ⇒ same contents.
+/// `rand` initialisation): same seed + same length ⇒ same contents, and a
+/// shorter buffer is a prefix of a longer one.
 pub fn seeded_data<T: Scalar>(seed: u64, len: usize) -> Vec<T> {
-    let mut rng = XorShift64::new(seed);
-    (0..len)
-        .map(|_| T::from_f64(rng.range_f64(-1.0, 1.0)))
-        .collect()
+    seeded(seed).take(len).collect()
 }
 
 fn failed_report() -> ValidationReport {
@@ -52,9 +51,7 @@ fn failed_report() -> ValidationReport {
     }
 }
 
-fn report_from(cpu_out: &[f64], gpu_out: &[f64], tolerance: f64) -> ValidationReport {
-    let cpu_checksum: f64 = cpu_out.iter().sum();
-    let gpu_checksum: f64 = gpu_out.iter().sum();
+fn report_from(cpu_checksum: f64, gpu_checksum: f64, tolerance: f64) -> ValidationReport {
     let scale = cpu_checksum.abs().max(gpu_checksum.abs()).max(1e-30);
     let rel_err = (cpu_checksum - gpu_checksum).abs() / scale;
     ValidationReport {
@@ -65,88 +62,61 @@ fn report_from(cpu_out: &[f64], gpu_out: &[f64], tolerance: f64) -> ValidationRe
     }
 }
 
-fn validate_typed<T: Scalar>(call: &BlasCall, seed: u64, tolerance: f64) -> ValidationReport {
-    let alpha = T::from_f64(call.alpha);
-    let beta = T::from_f64(call.beta);
-    // Buffers are sized tight to the call's dimensions, so the kernel
-    // contracts hold by construction; a violation here is a harness bug and
-    // is reported as a failed validation rather than a panic.
-    let run = || -> Result<(Vec<T>, Vec<T>), blob_blas::ContractError> {
-        match call.kernel {
-            Kernel::Gemm { m, n, k } => {
-                let a = seeded_data::<T>(seed, m * k);
-                let b = seeded_data::<T>(seed ^ 0xB, k * n);
-                // output initialised to zero throughout (paper §III-B)
-                let mut c_cpu = vec![T::ZERO; m * n];
-                let mut c_gpu = vec![T::ZERO; m * n];
-                gemm_parallel(4, m, n, k, alpha, &a, m, &b, k, beta, &mut c_cpu, m)?;
-                gemm_blocked(m, n, k, alpha, &a, m, &b, k, beta, &mut c_gpu, m)?;
-                Ok((c_cpu, c_gpu))
-            }
-            Kernel::Gemv { m, n } => {
-                let a = seeded_data::<T>(seed, m * n);
-                let x = seeded_data::<T>(seed ^ 0xB, n);
-                let mut y_cpu = vec![T::ZERO; m];
-                let mut y_gpu = vec![T::ZERO; m];
-                gemv_parallel(4, m, n, alpha, &a, m, &x, 1, beta, &mut y_cpu, 1)?;
-                gemv_ref(m, n, alpha, &a, m, &x, 1, beta, &mut y_gpu, 1)?;
-                Ok((y_cpu, y_gpu))
-            }
+/// One kernel code path: writes the output from operands A and B.
+type KernelPath<'a, T> = dyn Fn(&[T], &[T], &mut [T]) -> Result<(), ContractError> + 'a;
+
+/// Checksums the CPU-library path (the parallel kernels), then `gpu_path`,
+/// each into a zeroed output (paper §III-B), on lent seeded operands. The
+/// operands fit the call, so a contract violation is a harness bug: it
+/// fails the validation rather than panicking.
+fn validate_with<T: Scalar>(
+    call: &BlasCall,
+    seed: u64,
+    tolerance: f64,
+    gpu_path: impl Fn(&[T], &[T], &mut [T]) -> Result<(), ContractError>,
+) -> ValidationReport {
+    let (alpha, beta) = (T::from_f64(call.alpha), T::from_f64(call.beta));
+    let cpu_path = |a: &[T], b: &[T], c: &mut [T]| match call.kernel {
+        Kernel::Gemm { m, n, k } => gemm_parallel(4, m, n, k, alpha, a, m, b, k, beta, c, m),
+        Kernel::Gemv { m, n } => gemv_parallel(4, m, n, alpha, a, m, b, 1, beta, c, 1),
+    };
+    let lens = match call.kernel {
+        Kernel::Gemm { m, n, k } => (m * k, k * n, m * n),
+        Kernel::Gemv { m, n } => (m * n, n, m),
+    };
+    with_operands(Fill::Seeded(seed), lens, |a, b, out| {
+        let mut checksum = |path: &KernelPath<'_, T>| {
+            out.fill(T::ZERO);
+            path(a, b, out).map(|()| out.iter().map(|v| v.to_f64()).sum::<f64>())
+        };
+        match (checksum(&cpu_path), checksum(&gpu_path)) {
+            (Ok(cpu), Ok(gpu)) => report_from(cpu, gpu, tolerance),
+            _ => failed_report(),
         }
-    };
-    let Ok((cpu_out, gpu_out)) = run() else {
-        return failed_report();
-    };
-    let cpu64: Vec<f64> = cpu_out.iter().map(|v| v.to_f64()).collect();
-    let gpu64: Vec<f64> = gpu_out.iter().map(|v| v.to_f64()).collect();
-    report_from(&cpu64, &gpu64, tolerance)
+    })
+}
+
+fn validate_typed<T: Scalar>(call: &BlasCall, seed: u64, tolerance: f64) -> ValidationReport {
+    let (alpha, beta) = (T::from_f64(call.alpha), T::from_f64(call.beta));
+    validate_with(call, seed, tolerance, |a, b, c| match call.kernel {
+        Kernel::Gemm { m, n, k } => gemm_blocked(m, n, k, alpha, a, m, b, k, beta, c, m),
+        Kernel::Gemv { m, n } => gemv_ref(m, n, alpha, a, m, b, 1, beta, c, 1),
+    })
 }
 
 /// Validates emulated-f64 against the *native* f64 kernels — the "CPU"
 /// path is true f64, the "GPU" path is the Ozaki-sliced f32 emulation, so
 /// the checksum comparison directly measures emulation accuracy.
 fn validate_emul(call: &BlasCall, seed: u64, tolerance: f64) -> ValidationReport {
-    let precision = call.precision;
-    let (alpha, beta) = (call.alpha, call.beta);
-    let run = || -> Result<(Vec<f64>, Vec<f64>), blob_blas::ContractError> {
-        match call.kernel {
-            Kernel::Gemm { m, n, k } => {
-                let a = seeded_data::<f64>(seed, m * k);
-                let b = seeded_data::<f64>(seed ^ 0xB, k * n);
-                let mut c_native = vec![0.0f64; m * n];
-                let mut c_emul = vec![0.0f64; m * n];
-                gemm_parallel(4, m, n, k, alpha, &a, m, &b, k, beta, &mut c_native, m)?;
-                gemm_emul(
-                    precision,
-                    m,
-                    n,
-                    k,
-                    alpha,
-                    &a,
-                    m,
-                    &b,
-                    k,
-                    beta,
-                    &mut c_emul,
-                    m,
-                )?;
-                Ok((c_native, c_emul))
-            }
-            Kernel::Gemv { m, n } => {
-                let a = seeded_data::<f64>(seed, m * n);
-                let x = seeded_data::<f64>(seed ^ 0xB, n);
-                let mut y_native = vec![0.0f64; m];
-                let mut y_emul = vec![0.0f64; m];
-                gemv_parallel(4, m, n, alpha, &a, m, &x, 1, beta, &mut y_native, 1)?;
-                gemv_emul(precision, m, n, alpha, &a, m, &x, 1, beta, &mut y_emul, 1)?;
-                Ok((y_native, y_emul))
-            }
+    let (precision, alpha, beta) = (call.precision, call.alpha, call.beta);
+    validate_with(call, seed, tolerance, |a, b, c| match call.kernel {
+        Kernel::Gemm { m, n, k } => {
+            gemm_emul(precision, m, n, k, alpha, a, m, b, k, beta, c, m).map(|_| ())
         }
-    };
-    let Ok((native, emul)) = run() else {
-        return failed_report();
-    };
-    report_from(&native, &emul, tolerance)
+        Kernel::Gemv { m, n } => {
+            gemv_emul(precision, m, n, alpha, a, m, b, 1, beta, c, 1).map(|_| ())
+        }
+    })
 }
 
 /// Validates that the two kernel code paths agree on `call`, dispatching on
@@ -236,5 +206,24 @@ mod tests {
     fn checksums_are_nonzero_for_nontrivial_input() {
         let rep = validate_call(&BlasCall::gemm(Precision::F64, 32, 32, 32), 9);
         assert!(rep.cpu_checksum.abs() > 0.0);
+    }
+
+    #[test]
+    fn reports_do_not_depend_on_what_the_operand_set_held_before() {
+        use crate::operands::{release, with_operands, Fill};
+        for call in [
+            BlasCall::gemm(Precision::F64, 40, 24, 56),
+            BlasCall::gemv(Precision::F32, 64, 48),
+        ] {
+            release();
+            let fresh = validate_call(&call, 5);
+            // a larger timing lend of each type, then another seed, leave
+            // longer buffers with other contents behind
+            with_operands::<f64, _>(Fill::Timing, (8192, 8192, 8192), |_, _, _| ());
+            with_operands::<f32, _>(Fill::Timing, (8192, 8192, 8192), |_, _, _| ());
+            validate_call(&call, 6);
+            assert_eq!(validate_call(&call, 5), fresh, "{call:?}");
+        }
+        release();
     }
 }

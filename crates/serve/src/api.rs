@@ -394,12 +394,8 @@ impl App {
                 }
             }
         }
-        let spans = trace::snapshot();
-        let tail = match last {
-            Some(n) => &spans[spans.len().saturating_sub(n)..],
-            None => &spans[..],
-        };
-        Ok(Response::json(200, trace::chrome_trace_json(tail)))
+        let spans = trace::snapshot_last(last.unwrap_or(usize::MAX));
+        Ok(Response::json(200, trace::chrome_trace_json(&spans)))
     }
 
     fn shutdown_endpoint(&self) -> ApiResult {
