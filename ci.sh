@@ -19,8 +19,13 @@
 #                               `--self`: the checker stays clean under its
 #                               own rules
 #   3. cargo build --release    everything compiles optimised, warnings-free
-#   4. cargo build --benches    the microbench targets stay compilable
-#   5. cargo test -q            the full workspace test suite
+#   4. cargo build --benches    the four microbench targets (host_gemm,
+#                               host_gemv, sim_sweep, gemm_blocking) stay
+#                               compilable
+#   5. cargo test -q            the full workspace test suite, then the
+#                               bf16_batched_inference example runs, since
+#                               its f32/bf16 error asserts only fire when
+#                               it executes
 #   6. ledger self-tests        cargo test on ledger/ (its own workspace): a
 #                               public name the benchmark imports cannot
 #                               break here without failing CI first; then a
@@ -96,6 +101,7 @@ cargo build --benches --workspace --offline
 
 echo "==> cargo test"
 cargo test -q --workspace --offline
+cargo run --release --offline --quiet --example bf16_batched_inference > /dev/null
 
 echo "==> ledger self-tests (the benchmark still builds against the workspace)"
 cargo test -q --offline --manifest-path ledger/Cargo.toml

@@ -50,20 +50,6 @@ pub enum ContractError {
         /// Length actually supplied.
         actual: usize,
     },
-    /// A strided batch layout would make consecutive problems overlap.
-    OverlappingBatchStride {
-        /// Which batched buffer argument.
-        arg: &'static str,
-        /// The supplied batch stride.
-        stride: usize,
-        /// Minimum stride for non-overlapping problems.
-        required: usize,
-    },
-    /// A triangular solve met a zero on the diagonal.
-    SingularDiagonal {
-        /// Index of the zero diagonal element.
-        index: usize,
-    },
     /// A precision-tagged kernel was handed a [`Precision`] its element
     /// type cannot realise (e.g. `gemm_half::<Bf16>` tagged `F16`, or the
     /// emulated-f64 GEMM tagged a native precision).
@@ -93,19 +79,11 @@ impl fmt::Display for ContractError {
                 f,
                 "buffer `{arg}` holds {actual} elements but the call addresses {required}"
             ),
-            Self::OverlappingBatchStride {
-                arg,
-                stride,
-                required,
-            } => write!(
-                f,
-                "batch stride of `{arg}` is {stride} but problems need at least {required} to not overlap"
-            ),
-            Self::SingularDiagonal { index } => {
-                write!(f, "triangular matrix is singular: zero diagonal at index {index}")
-            }
             Self::PrecisionMismatch { expected, got } => {
-                write!(f, "kernel supports precision {expected} but was tagged {got}")
+                write!(
+                    f,
+                    "kernel supports precision {expected} but was tagged {got}"
+                )
             }
         }
     }
@@ -187,13 +165,15 @@ pub fn vec_index(i: usize, n: usize, inc: isize) -> usize {
 }
 
 /// Number of buffer elements an `n`-element vector with increment `inc`
-/// addresses: `1 + (n-1) * |inc|`, or zero when `n == 0`.
+/// addresses: `1 + (n-1) * |inc|`, or zero when `n == 0`. Saturates at
+/// `usize::MAX`, which no buffer can hold, so an overflowing span fails
+/// the length check instead of wrapping past it.
 #[inline]
 pub fn vec_span(n: usize, inc: isize) -> usize {
     if n == 0 {
         0
     } else {
-        1 + (n - 1) * inc.unsigned_abs()
+        (n - 1).saturating_mul(inc.unsigned_abs()).saturating_add(1)
     }
 }
 
@@ -211,11 +191,12 @@ pub fn check_matrix(
     if ld < rows.max(1) {
         return Err(ContractError::LeadingDim { arg, ld, rows });
     }
-    // An empty matrix (either dimension zero) addresses no storage.
+    // An empty matrix (either dimension zero) addresses no storage; the
+    // span saturates like `vec_span`, so a huge `ld` is BufferTooShort.
     let required = if rows == 0 || cols == 0 {
         0
     } else {
-        ld * (cols - 1) + rows
+        ld.saturating_mul(cols - 1).saturating_add(rows)
     };
     if buf_len < required {
         return Err(ContractError::BufferTooShort {
@@ -285,103 +266,6 @@ pub fn check_gemv(
     check_vector("y", y_len, m, incy)
 }
 
-/// GER contract: `A(m×n) += alpha · x(m) · y(n)ᵀ`.
-#[allow(clippy::too_many_arguments)]
-pub fn check_ger(
-    m: usize,
-    n: usize,
-    x_len: usize,
-    incx: isize,
-    y_len: usize,
-    incy: isize,
-    a_len: usize,
-    lda: usize,
-) -> Result<(), ContractError> {
-    check_vector("x", x_len, m, incx)?;
-    check_vector("y", y_len, n, incy)?;
-    check_matrix("a", a_len, m, n, lda)
-}
-
-/// SYRK contract: `C(n×n) += alpha · A(n×k) · Aᵀ`.
-pub fn check_syrk(
-    n: usize,
-    k: usize,
-    a_len: usize,
-    lda: usize,
-    c_len: usize,
-    ldc: usize,
-) -> Result<(), ContractError> {
-    check_matrix("a", a_len, n, k, lda)?;
-    check_matrix("c", c_len, n, n, ldc)
-}
-
-/// TRSV contract: solve `op(A) · x = b` in place for triangular `A(n×n)`.
-pub fn check_trsv(
-    n: usize,
-    a_len: usize,
-    lda: usize,
-    x_len: usize,
-    incx: isize,
-) -> Result<(), ContractError> {
-    check_matrix("a", a_len, n, n, lda)?;
-    check_vector("x", x_len, n, incx)
-}
-
-/// TRSM contract: solve `A · X = alpha · B` in place for triangular
-/// `A(m×m)` and `B(m×n)`.
-pub fn check_trsm(
-    m: usize,
-    n: usize,
-    a_len: usize,
-    lda: usize,
-    b_len: usize,
-    ldb: usize,
-) -> Result<(), ContractError> {
-    check_matrix("a", a_len, m, m, lda)?;
-    check_matrix("b", b_len, m, n, ldb)
-}
-
-/// One strided-batch operand: per-problem matrix contract plus
-/// non-overlap of consecutive problems in the shared buffer.
-#[allow(clippy::too_many_arguments)]
-pub fn check_batched_operand(
-    arg: &'static str,
-    buf_len: usize,
-    batch: usize,
-    rows: usize,
-    cols: usize,
-    ld: usize,
-    stride: usize,
-) -> Result<(), ContractError> {
-    if ld < rows.max(1) {
-        return Err(ContractError::LeadingDim { arg, ld, rows });
-    }
-    let per_problem = if rows == 0 || cols == 0 {
-        0
-    } else {
-        ld * (cols - 1) + rows
-    };
-    if batch == 0 || per_problem == 0 {
-        return Ok(());
-    }
-    if batch > 1 && stride < per_problem {
-        return Err(ContractError::OverlappingBatchStride {
-            arg,
-            stride,
-            required: per_problem,
-        });
-    }
-    let required = stride * (batch - 1) + per_problem;
-    if buf_len < required {
-        return Err(ContractError::BufferTooShort {
-            arg,
-            required,
-            actual: buf_len,
-        });
-    }
-    Ok(())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -447,6 +331,39 @@ mod tests {
     }
 
     #[test]
+    fn huge_leading_dimension_is_buffer_too_short() {
+        // ld * (cols - 1) overflows usize: the span saturates instead of
+        // wrapping to a small number that a short buffer would satisfy
+        let ld = usize::MAX / 2 + 1;
+        let short = ContractError::BufferTooShort {
+            arg: "a",
+            required: usize::MAX,
+            actual: 8,
+        };
+        assert_eq!(check_matrix("a", 8, 2, 3, ld), Err(short.clone()));
+        let a = [1.0f64; 8];
+        let b = [1.0f64; 9];
+        let mut c = [0.0f64; 6];
+        assert_eq!(
+            crate::gemm(2, 3, 3, 1.0, &a, ld, &b, 3, 0.0, &mut c, 2),
+            Err(short)
+        );
+    }
+
+    #[test]
+    fn most_negative_increment_is_buffer_too_short() {
+        // (n - 1) * |isize::MIN| overflows usize for n = 3
+        assert_eq!(
+            check_vector("x", 8, 3, isize::MIN),
+            Err(ContractError::BufferTooShort {
+                arg: "x",
+                required: usize::MAX,
+                actual: 8,
+            })
+        );
+    }
+
+    #[test]
     fn vec_index_walks_backwards_for_negative_inc() {
         // n = 4, inc = -2: logical 0..4 live at 6, 4, 2, 0
         let offsets: Vec<usize> = (0..4).map(|i| vec_index(i, 4, -2)).collect();
@@ -473,22 +390,6 @@ mod tests {
     }
 
     #[test]
-    fn batched_operand_rejects_overlap() {
-        // 2 problems of 3x3 tight (9 elems) with stride 4 overlap
-        assert!(matches!(
-            check_batched_operand("a", 100, 2, 3, 3, 3, 4),
-            Err(ContractError::OverlappingBatchStride {
-                arg: "a",
-                stride: 4,
-                required: 9
-            })
-        ));
-        assert!(check_batched_operand("a", 9 + 9, 2, 3, 3, 3, 9).is_ok());
-        // single problem: stride unused
-        assert!(check_batched_operand("a", 9, 1, 3, 3, 3, 0).is_ok());
-    }
-
-    #[test]
     fn errors_render_useful_messages() {
         let e = ContractError::LeadingDim {
             arg: "a",
@@ -496,8 +397,12 @@ mod tests {
             rows: 5,
         };
         assert!(e.to_string().contains("leading dimension"));
-        let e = ContractError::SingularDiagonal { index: 3 };
-        assert!(e.to_string().contains("singular"));
+        let e = ContractError::BufferTooShort {
+            arg: "b",
+            required: 12,
+            actual: 11,
+        };
+        assert!(e.to_string().contains("holds 11 elements"));
         let e = ContractError::PrecisionMismatch {
             expected: Precision::Bf16,
             got: Precision::F16,

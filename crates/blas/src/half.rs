@@ -15,12 +15,12 @@
 //!   the f32 path: the packers widen the operands into f32 panels, the
 //!   explicit-SIMD f32 micro-kernel accumulates, and each element of `C`
 //!   is narrowed once (matrix-engine semantics). Scalar arithmetic on the
-//!   types themselves (GEMV, Level 1) is evaluated in f32 and rounded back
-//!   per operation, the semantics of scalar half units.
-//! - The tagged entry points [`gemm_half`] / [`gemv_half`], which carry an
-//!   explicit [`Precision`] tag (the `no-untagged-precision` blob-check
-//!   rule): a half kernel that silently fell through to bare f32 would
-//!   corrupt the per-precision threshold tables.
+//!   types themselves (the generic GEMV) is evaluated in f32 and rounded
+//!   back per operation, the semantics of scalar half units.
+//! - The tagged entry point [`gemm_half`], which carries an explicit
+//!   [`Precision`] tag (the `no-untagged-precision` blob-check rule): a
+//!   half kernel that silently fell through to bare f32 would corrupt the
+//!   per-precision threshold tables.
 
 use crate::scalar::{Precision, Scalar};
 use crate::ContractError;
@@ -408,34 +408,6 @@ pub fn gemm_half<T: HalfScalar>(
     crate::gemm::gemm_widened(1, m, n, k, alpha, a, lda, b, ldb, beta, c, ldc)
 }
 
-/// Half-precision GEMV with f32 accumulation: `y = α·A·x + β·y`, the
-/// matrix-vector sibling of [`gemm_half`] (widen once, run the fast f32
-/// kernel, narrow once).
-pub fn gemv_half<T: HalfScalar>(
-    precision: Precision,
-    m: usize,
-    n: usize,
-    alpha: f32,
-    a: &[T],
-    lda: usize,
-    x: &[T],
-    incx: isize,
-    beta: f32,
-    y: &mut [T],
-    incy: isize,
-) -> Result<(), ContractError> {
-    check_half_tag::<T>(precision)?;
-    crate::contract::check_gemv(m, n, a.len(), lda, x.len(), incx, y.len(), incy)?;
-    let aw: Vec<f32> = a.iter().map(|&v| v.widen()).collect();
-    let xw: Vec<f32> = x.iter().map(|&v| v.widen()).collect();
-    let mut yw: Vec<f32> = y.iter().map(|&v| v.widen()).collect();
-    crate::gemv(m, n, alpha, &aw, lda, &xw, incx, beta, &mut yw, incy)?;
-    for (dst, &src) in y.iter_mut().zip(yw.iter()) {
-        *dst = T::narrow(src);
-    }
-    Ok(())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -812,32 +784,6 @@ mod tests {
     }
 
     #[test]
-    fn gemv_half_matches_widened_reference() {
-        let (m, n) = (23usize, 31usize);
-        let a: Vec<F16> = (0..m * n)
-            .map(|i| F16::from_f32(((i % 11) as f32 - 5.0) / 8.0))
-            .collect();
-        let x: Vec<F16> = (0..n)
-            .map(|i| F16::from_f32((i % 4) as f32 / 4.0))
-            .collect();
-        let mut y = vec![F16::ZERO; m];
-        gemv_half(Precision::F16, m, n, 1.0, &a, m, &x, 1, 0.0, &mut y, 1).unwrap();
-        let aw: Vec<f64> = a.iter().map(|&v| v.to_f64()).collect();
-        let xw: Vec<f64> = x.iter().map(|&v| v.to_f64()).collect();
-        let mut want = vec![0.0f64; m];
-        gemv_ref(m, n, 1.0, &aw, m, &xw, 1, 0.0, &mut want, 1).unwrap();
-        let tol = crate::contract::gemm_rel_tolerance(Precision::F16, n);
-        for i in 0..m {
-            let got = y[i].to_f64();
-            assert!(
-                (got - want[i]).abs() <= tol * want[i].abs().max(1.0),
-                "i={i}: {got} vs {}",
-                want[i]
-            );
-        }
-    }
-
-    #[test]
     fn mismatched_precision_tags_are_rejected() {
         let a = [Bf16::ZERO; 4];
         let b = [Bf16::ZERO; 4];
@@ -851,11 +797,19 @@ mod tests {
                 got: Precision::F16,
             }
         ));
-        let x = [F16::ZERO; 2];
-        let mut y = [F16::ZERO; 2];
         let a16 = [F16::ZERO; 4];
-        let err = gemv_half(Precision::F64, 2, 2, 1.0, &a16, 2, &x, 1, 0.0, &mut y, 1).unwrap_err();
-        assert!(matches!(err, ContractError::PrecisionMismatch { .. }));
+        let b16 = [F16::ZERO; 4];
+        let mut c16 = [F16::ZERO; 4];
+        for got in [Precision::Bf16, Precision::F64] {
+            let err = gemm_half(got, 2, 2, 2, 1.0, &a16, 2, &b16, 2, 0.0, &mut c16, 2).unwrap_err();
+            assert_eq!(
+                err,
+                ContractError::PrecisionMismatch {
+                    expected: Precision::F16,
+                    got,
+                }
+            );
+        }
     }
 
     #[test]

@@ -1,10 +1,11 @@
 //! # blob-blas — from-scratch BLAS kernels for GPU-BLOB
 //!
 //! A self-contained, dependency-light BLAS implementation providing the
-//! kernels the GPU BLAS Offload Benchmark drives: the complete Level 1 set,
-//! GEMV (Level 2) and GEMM (Level 3), for `f32` and `f64`, in column-major
-//! storage with explicit leading dimensions and vector increments — the same
-//! call surface the paper's C++ artifact uses against vendor libraries.
+//! two kernels the GPU BLAS Offload Benchmark drives, GEMV (Level 2) and
+//! GEMM (Level 3), for `f32` and `f64` plus the bf16/f16 and emulated-f64
+//! precisions, in column-major storage with explicit leading dimensions and
+//! vector increments — the same call surface the paper's C++ artifact uses
+//! against vendor libraries.
 //!
 //! The GEMM implementation follows the classic Goto/BLIS decomposition:
 //! cache-blocked loops around a register-tiled micro-kernel operating on
@@ -16,7 +17,6 @@
 //! ## Layout
 //! - [`scalar`] — the [`Scalar`](scalar::Scalar) abstraction over `f32`/`f64`
 //! - [`matrix`] — column-major matrix views and owned storage
-//! - [`level1`] — dot, axpy, scal, nrm2, asum, iamax, copy, swap
 //! - [`gemv`] — matrix-vector multiply, serial and parallel
 //! - [`gemm`] — matrix-matrix multiply: reference, blocked, parallel
 //! - [`pack`] — panel packing for the blocked GEMM, widening each element
@@ -35,10 +35,8 @@
 //!   the work-based inline/parallel crossover constants
 //! - [`tracehook`] — span hooks the tracing plane above this crate
 //!   installs; disabled cost is one relaxed atomic load per seam
-//! - [`batched`], [`sparse`], [`half`], [`level23`], [`transpose`] — the
-//!   extension kernels (strided-batch, CSR SpMV, software BF16/FP16 with
-//!   f32-accumulating widened GEMM/GEMV, GER/SYRK/TRSV/TRSM, transposed
-//!   operands)
+//! - [`half`] — software BF16/FP16 storage types and the precision-tagged
+//!   f32-accumulating widened GEMM
 //! - [`emul`] — Ozaki-scheme emulated-f64 GEMM/GEMV: K exact integer
 //!   slices per operand contracted by the fast f32 kernel and recombined
 //!   in f64, with the slice count as the accuracy dial
@@ -69,39 +67,30 @@
 #![allow(clippy::too_many_arguments)]
 
 pub mod arena;
-pub mod batched;
 pub mod contract;
 pub mod emul;
 pub mod faultpoint;
 pub mod gemm;
 pub mod gemv;
 pub mod half;
-pub mod level1;
-pub mod level23;
 pub mod matrix;
 pub mod microkernel;
 pub mod pack;
 pub mod perturb;
 pub mod pool;
 pub mod scalar;
-pub mod sparse;
 pub mod tracehook;
-pub mod transpose;
 pub mod tune;
 
-pub use batched::{gemm_batched, gemm_batched_parallel, gemv_batched, BatchedGemmDesc};
 pub use contract::ContractError;
 pub use emul::{gemm_emul, gemv_emul, EmulReport};
 pub use gemm::{
     gemm, gemm_blocked, gemm_blocked_tuned, gemm_blocked_with, gemm_parallel, gemm_ref, BlockConfig,
 };
 pub use gemv::{gemv, gemv_parallel, gemv_ref};
-pub use half::{gemm_half, gemv_half, Bf16, HalfScalar, F16};
-pub use level23::{ger, syrk, trsm, trsm_parallel, trsv, UpLo};
+pub use half::{gemm_half, Bf16, HalfScalar, F16};
 pub use matrix::Matrix;
 pub use microkernel::{Engine, Geometry};
 pub use pool::ThreadPool;
 pub use scalar::Scalar;
-pub use sparse::CsrMatrix;
-pub use transpose::{gemm_ex, gemv_ex, Trans};
 pub use tune::TunedKernel;

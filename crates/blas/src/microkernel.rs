@@ -360,8 +360,7 @@ fn dot_fold<T: Scalar>(mut lane: [T; DOT_LANES], a: &[T], b: &[T], from: usize) 
 }
 
 /// Unit-stride dot product with a fixed [`DOT_LANES`]-lane accumulation
-/// contract, dispatched through `engine` — the GEMV (transposed) and
-/// Level-1 inner kernel.
+/// contract, dispatched through `engine`.
 ///
 /// Lane `l` accumulates elements `i ≡ l (mod DOT_LANES)` over the widest
 /// full block, lanes fold pairwise in a fixed tree, and the tail is added

@@ -11,7 +11,7 @@
 //!    semantics). The sweep runner and `blob-serve` use it to parallelise
 //!    across problem sizes.
 //! 2. [`run_scoped`] — scoped dispatch for *borrowing* (non-`'static`)
-//!    closures, used by the parallel GEMM/GEMV/SpMV/TRSM/batched kernels.
+//!    closures, used by the parallel GEMM and GEMV kernels.
 //!    This is the workspace's **only** `std::thread::scope` call site
 //!    (enforced by the `no-adhoc-scope` blob-check rule): one job runs
 //!    inline with zero dispatch, and `k` jobs cost `k − 1` spawns because
@@ -76,11 +76,6 @@ pub const MIN_FLOPS_PER_THREAD: usize = 32_000_000;
 /// hundred µs of streaming — same amortisation argument as
 /// [`MIN_FLOPS_PER_THREAD`] for kernels that move one element per flop.
 pub const MIN_ELEMS_PER_THREAD: usize = 1 << 19;
-
-/// Minimum stored non-zeros per worker for sparse kernels (SpMV): each
-/// non-zero costs an indirect gather on top of the flop, so the break-even
-/// arrives at fewer elements than the dense streaming bound.
-pub const MIN_NNZ_PER_THREAD: usize = 1 << 17;
 
 /// How many workers `total_work` justifies, given a requested thread count:
 /// `min(threads, total_work / min_per_worker)`, at least 1.

@@ -9,8 +9,8 @@
 //! case prints its seed so it can be replayed with `testkit::run_case`.
 
 use blob_blas::{
-    gemm_blocked, gemm_blocked_with, gemm_parallel, gemm_ref, gemv_parallel, gemv_ref, level1,
-    BlockConfig, Matrix,
+    gemm_blocked, gemm_blocked_with, gemm_parallel, gemm_ref, gemv_parallel, gemv_ref, BlockConfig,
+    Matrix,
 };
 use blob_core::testkit::{forall, Config, Gen};
 
@@ -298,62 +298,6 @@ fn gemv_parallel_agrees() {
         for i in 0..m {
             assert!((y1[i] - y2[i]).abs() < 1e-10);
         }
-    });
-}
-
-/// dot is symmetric and bilinear against axpy: dot(x, y+αz) == dot(x,y) + α·dot(x,z).
-#[test]
-fn dot_bilinear() {
-    forall(Config::default().cases(64), |g| {
-        let n = g.usize_in(1, 127);
-        let alpha = g.f64_in(-2.0, 2.0);
-        let seed = g.u64();
-        let x: Vec<f64> = (0..n).map(|i| hash01(seed, i, 0) - 0.5).collect();
-        let y: Vec<f64> = (0..n).map(|i| hash01(seed ^ 8, i, 0) - 0.5).collect();
-        let z: Vec<f64> = (0..n).map(|i| hash01(seed ^ 9, i, 0) - 0.5).collect();
-        let mut y_plus = y.clone();
-        level1::axpy(n, alpha, &z, 1, &mut y_plus, 1).unwrap();
-        let lhs = level1::dot(n, &x, 1, &y_plus, 1).unwrap();
-        let rhs =
-            level1::dot(n, &x, 1, &y, 1).unwrap() + alpha * level1::dot(n, &x, 1, &z, 1).unwrap();
-        assert!((lhs - rhs).abs() < 1e-9 * (n as f64));
-        let xy = level1::dot(n, &x, 1, &y, 1).unwrap();
-        let yx = level1::dot(n, &y, 1, &x, 1).unwrap();
-        assert!((xy - yx).abs() < 1e-12);
-    });
-}
-
-/// nrm2² ≈ dot(x, x) and scaling homogeneity ‖αx‖ = |α|·‖x‖.
-#[test]
-fn nrm2_properties() {
-    forall(Config::default().cases(64), |g| {
-        let n = g.usize_in(1, 127);
-        let alpha = g.f64_in(-3.0, 3.0);
-        let seed = g.u64();
-        let x: Vec<f64> = (0..n).map(|i| hash01(seed, i, 2) - 0.5).collect();
-        let nn = level1::nrm2(n, &x, 1).unwrap();
-        let dd = level1::dot(n, &x, 1, &x, 1).unwrap();
-        assert!((nn * nn - dd).abs() < 1e-9 * (n as f64));
-        let mut ax = x.clone();
-        level1::scal(n, alpha, &mut ax, 1).unwrap();
-        let na = level1::nrm2(n, &ax, 1).unwrap();
-        assert!((na - alpha.abs() * nn).abs() < 1e-9 * (1.0 + nn));
-    });
-}
-
-/// iamax really is the max |x_i|, and asum bounds it.
-#[test]
-fn iamax_asum_consistency() {
-    forall(Config::default().cases(64), |g| {
-        let n = g.usize_in(1, 127);
-        let seed = g.u64();
-        let x: Vec<f64> = (0..n).map(|i| hash01(seed, i, 3) - 0.5).collect();
-        let idx = level1::iamax(n, &x, 1).unwrap().unwrap();
-        let maxv = x[idx].abs();
-        for v in &x {
-            assert!(v.abs() <= maxv + 1e-15);
-        }
-        assert!(level1::asum(n, &x, 1).unwrap() + 1e-15 >= maxv);
     });
 }
 

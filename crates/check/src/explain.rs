@@ -71,7 +71,7 @@ pub const DOCS: [RuleDoc; 17] = [
     },
     RuleDoc {
         name: "contract-guard",
-        scope: "the five kernel files (gemm/gemv/level1/level23/batched), tests excluded",
+        scope: "the four GEMM/GEMV entry-point files (gemm/gemv/half/emul), tests excluded",
         pattern: "a `pub fn` that indexes a slice before (or without) calling \
                   `contract::…`/`check_…` or a function already known to validate \
                   (delegation is resolved by fixpoint across the kernel files)",

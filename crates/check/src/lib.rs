@@ -30,7 +30,7 @@
 //! | `no-unwrap-in-serve` | serve/cli binaries | `.unwrap()`, `.expect(…)`, `panic!` |
 //! | `no-float-eq` | `blob-blas`/`blob-sim` libraries | `==`/`!=` against a float literal |
 //! | `pub-item-docs` | `blob-blas`/`blob-sim`/`blob-core` | public item/field without a doc comment |
-//! | `contract-guard` | the five kernel files | `pub fn` indexing a slice before contract validation |
+//! | `contract-guard` | the four GEMM/GEMV entry-point files | `pub fn` indexing a slice before contract validation |
 //! | `no-adhoc-scope` | `blob-blas` outside `pool.rs` | `std::thread::scope(` outside the pool |
 //! | `no-raw-error-body` | `crates/serve/src/` outside `envelope.rs`/`http.rs` | `Response::json`/`text` with a literal status ≥ 400 |
 //! | `atomics-ordering` | library code, per atomic | `Relaxed` mixed with release/acquire, unpaired `Release`/`Acquire` |

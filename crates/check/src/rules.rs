@@ -294,12 +294,11 @@ pub struct Context {
 
 /// The files whose public kernels must validate the call contract before
 /// touching any slice.
-pub const GUARDED_FILES: [&str; 5] = [
+pub const GUARDED_FILES: [&str; 4] = [
     "crates/blas/src/gemm.rs",
     "crates/blas/src/gemv.rs",
-    "crates/blas/src/level1.rs",
-    "crates/blas/src/level23.rs",
-    "crates/blas/src/batched.rs",
+    "crates/blas/src/half.rs",
+    "crates/blas/src/emul.rs",
 ];
 
 /// Builds the [`Context`] by fixpoint over the guarded kernel files: a

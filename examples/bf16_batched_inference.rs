@@ -14,15 +14,30 @@
 //! ```
 
 use gpu_blob::blas::scalar::Scalar;
-use gpu_blob::blas::{gemm_batched, gemm_batched_parallel, BatchedGemmDesc, Bf16};
+use gpu_blob::blas::{gemm, Bf16};
 use gpu_blob::sim::{presets, Offload, Precision};
 
-/// One attention head's scores: Q·Kᵀ for `heads` heads of `seq × dim`.
+/// One attention head's scores: Q·Kᵀ for `heads` heads of `seq × dim`,
+/// one GEMM per head over tightly packed per-head operands.
 fn run_heads<T: Scalar>(heads: usize, seq: usize, dim: usize, q: &[T], kt: &[T]) -> Vec<T> {
-    let desc = BatchedGemmDesc::tight(seq, seq, dim);
-    let mut scores = vec![T::ZERO; desc.stride_c * heads];
-    gemm_batched_parallel(4, &desc, heads, T::ONE, q, kt, T::ZERO, &mut scores)
-        .expect("tight batched layout");
+    let mut scores = vec![T::ZERO; seq * seq * heads];
+    for (h, s) in scores.chunks_mut(seq * seq).enumerate() {
+        let off = h * seq * dim;
+        gemm(
+            seq,
+            seq,
+            dim,
+            T::ONE,
+            &q[off..],
+            seq,
+            &kt[off..],
+            dim,
+            T::ZERO,
+            s,
+            seq,
+        )
+        .expect("tight per-head layout");
+    }
     scores
 }
 
@@ -45,12 +60,6 @@ fn main() {
     let s64 = run_heads(heads, seq, dim, &q64, &k64);
     let s32 = run_heads(heads, seq, dim, &q32, &k32);
     let sb = run_heads(heads, seq, dim, &qb, &kb);
-
-    // serial batched path must agree with the parallel one
-    let desc = BatchedGemmDesc::tight(seq, seq, dim);
-    let mut serial = vec![0.0f64; desc.stride_c * heads];
-    gemm_batched(&desc, heads, 1.0, &q64, &k64, 0.0, &mut serial).expect("tight batched layout");
-    assert_eq!(serial, s64, "serial and parallel batched GEMM agree");
 
     // normalise by the largest score: individual scores cross zero, so
     // element-wise relative error is the wrong yardstick
