@@ -19,14 +19,11 @@
 #                               `--self`: the checker stays clean under its
 #                               own rules
 #   3. cargo build --release    everything compiles optimised, warnings-free
-#   4. cargo build --benches    the four microbench targets (host_gemm,
-#                               host_gemv, sim_sweep, gemm_blocking) stay
-#                               compilable
-#   5. cargo test -q            the full workspace test suite, then the
+#   4. cargo test -q            the full workspace test suite, then the
 #                               bf16_batched_inference example runs, since
 #                               its f32/bf16 error asserts only fire when
 #                               it executes
-#   6. ledger self-tests        cargo test on ledger/ (its own workspace): a
+#   5. ledger self-tests        cargo test on ledger/ (its own workspace): a
 #                               public name the benchmark imports cannot
 #                               break here without failing CI first; then a
 #                               1 s model_tables run must report "failed":0
@@ -35,18 +32,18 @@
 #                               precision_ladder and gemv_stream runs (every
 #                               operand-slot type switch, and a seeded
 #                               validation lend after timing lends)
-#   7. SIMD agreement           the simd_agreement property suite runs twice:
+#   6. SIMD agreement           the simd_agreement property suite runs twice:
 #                               once on the detected engine and once under
 #                               GPU_BLOB_NO_SIMD=1, proving the forced-scalar
 #                               path stays bit-identical and correct; the
 #                               precision_oracle suite runs under it too, so
 #                               the widening and slicing packers are covered
 #                               on the scalar engine
-#   8. tune smoke               gpu-blob tune --quick into a scratch dir:
+#   7. tune smoke               gpu-blob tune --quick into a scratch dir:
 #                               the autotuner searches, golden-validates,
 #                               persists, and reload-verifies a profile in
 #                               seconds (bounded by --budget-ms)
-#   9. precision plane gate     a quick two-size bf16 + emulated-f64 sweep
+#   8. precision plane gate     a quick two-size bf16 + emulated-f64 sweep
 #                               (--precision bf16,f64-emul --json) must emit
 #                               one JSON row per precision — the tunable-
 #                               precision plane stays wired through CLI,
@@ -54,22 +51,22 @@
 #                               --system host for bf16, f16 and f64-emul
 #                               must emit one row per precision whose every
 #                               record has a positive measured CPU time
-#  10. overhead gate            overhead_gate measures one reference kernel
+#   9. overhead gate            overhead_gate measures one reference kernel
 #                               shape (a 64^3 GEMM on 4 threads) and proves
 #                               a disabled fault point, a disabled trace
 #                               span and one auto-dispatch decide/complete
 #                               round trip each cost < 1% of it
-#  11. server smoke             gpu-blob serve end-to-end: /v1/healthz,
+#  10. server smoke             gpu-blob serve end-to-end: /v1/healthz,
 #                               /v1/advise, a /v1/threshold cache hit verified
 #                               via /v1/metrics, and a clean /v1/shutdown
 #                               (serve_smoke e2e test)
-#  12. chaos suite              seeded fault plans against the live server
+#  11. chaos suite              seeded fault plans against the live server
 #                               (panic containment, worker replacement, load
 #                               shedding, retry) and the kill-and-resume
 #                               sweep (byte-identical CSV after SIGKILL)
-#  13. server load gate         serve_load must sustain >= 1000 req/s on
+#  12. server load gate         serve_load must sustain >= 1000 req/s on
 #                               loopback
-#  14. fabric chaos gate        serve_load --shards 3 --kill-one under a
+#  13. fabric chaos gate        serve_load --shards 3 --kill-one under a
 #                               seeded backend fault plan: one worker
 #                               process is killed a quarter of the way
 #                               through and the shard router must finish
@@ -95,9 +92,6 @@ cargo run -q -p blob-check --offline -- --self
 
 echo "==> cargo build --release"
 cargo build --release --workspace --offline
-
-echo "==> cargo build --benches"
-cargo build --benches --workspace --offline
 
 echo "==> cargo test"
 cargo test -q --workspace --offline

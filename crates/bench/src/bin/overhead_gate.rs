@@ -3,8 +3,9 @@
 //!
 //! Fault points, trace spans and the dispatch decision ship enabled in
 //! every build and sit on the serve request path, the sweep runner's
-//! per-size loop, the thread pool's job loop and (through
-//! `blob_blas::tracehook`) the GEMM pack/compute phases. The claim is that
+//! per-size loop, the thread pool's job loop and the GEMM pack/compute
+//! phases, all through the one `blob_blas::{fault, trace}` plane that
+//! `blob_core` re-exports. The claim is that
 //! disabled they cost a relaxed atomic load each, and that one
 //! `Dispatcher::decide` + `complete` round trip is bookkeeping only — so
 //! even the most overhead-sensitive kernel shape, a 64³ GEMM split over 4

@@ -14,7 +14,7 @@
 //!
 //! Performance numbers live in the ledger (`ledger/`, `BENCHMARK.json`), not
 //! here. This library also holds the shared sweep/table plumbing and the
-//! [`microbench`] harness that `benches/` builds on.
+//! [`microbench`] latency primitive `overhead_gate` times with.
 
 pub mod experiments;
 pub mod microbench;

@@ -25,7 +25,7 @@ use crate::pack::{pack_a, pack_b};
 use crate::perturb;
 use crate::pool;
 use crate::scalar::Scalar;
-use crate::tracehook;
+use crate::trace;
 use crate::tune::{self, TunedKernel};
 use std::any::TypeId;
 
@@ -366,19 +366,19 @@ fn column_panel<S: Scalar, D: Scalar<Acc = S::Acc>>(
         // accumulate (β' = 1).
         let beta_eff = if pc == 0 { beta } else { S::Acc::ONE };
         {
-            let pack = tracehook::span(tracehook::names::GEMM_PACK_B, tracehook::cats::GEMM);
+            let pack = trace::span(trace::names::GEMM_PACK_B, trace::cats::GEMM);
             pack.annotate("bytes", (kc * nc * std::mem::size_of::<S>()) as u64);
             pack_b(kc, nc, &b[pc..], ldb, geom.nr, packed_b);
         }
         for ic in (0..m).step_by(cfg.mc.max(1)) {
             let mc = cfg.mc.min(m - ic);
             {
-                let pack = tracehook::span(tracehook::names::GEMM_PACK_A, tracehook::cats::GEMM);
+                let pack = trace::span(trace::names::GEMM_PACK_A, trace::cats::GEMM);
                 pack.annotate("bytes", (mc * kc * std::mem::size_of::<S>()) as u64);
                 // α folds into the packed copy of A
                 pack_a(mc, kc, &a[pc * lda + ic..], lda, alpha, geom.mr, packed_a);
             }
-            let compute = tracehook::span(tracehook::names::GEMM_COMPUTE, tracehook::cats::GEMM);
+            let compute = trace::span(trace::names::GEMM_COMPUTE, trace::cats::GEMM);
             compute.annotate("flops", 2 * (mc * nc * kc) as u64);
             macro_kernel(
                 engine,

@@ -33,8 +33,14 @@
 //! - [`pool`] — the execution substrate: persistent batch-latch worker
 //!   pool for `'static` jobs, scoped dispatch for borrowing kernels, and
 //!   the work-based inline/parallel crossover constants
-//! - [`tracehook`] — span hooks the tracing plane above this crate
-//!   installs; disabled cost is one relaxed atomic load per seam
+//! - [`trace`] — the span recorder every layer of the workspace records
+//!   into (pool, GEMM, runner, serve); disabled cost is one relaxed
+//!   atomic load per seam
+//! - [`fault`] — the seeded fault plane: plan grammar, site catalogue and
+//!   fault points (the pool's `pool.worker` among them)
+//! - [`perturb`] — seeded schedule perturbation for the stress tests
+//! - [`rng`] — the workspace's deterministic xorshift64* generator and
+//!   its one SplitMix64 finaliser
 //! - [`half`] — software BF16/FP16 storage types and the precision-tagged
 //!   f32-accumulating widened GEMM
 //! - [`emul`] — Ozaki-scheme emulated-f64 GEMM/GEMV: K exact integer
@@ -69,7 +75,7 @@
 pub mod arena;
 pub mod contract;
 pub mod emul;
-pub mod faultpoint;
+pub mod fault;
 pub mod gemm;
 pub mod gemv;
 pub mod half;
@@ -78,8 +84,9 @@ pub mod microkernel;
 pub mod pack;
 pub mod perturb;
 pub mod pool;
+pub mod rng;
 pub mod scalar;
-pub mod tracehook;
+pub mod trace;
 pub mod tune;
 
 pub use contract::ContractError;

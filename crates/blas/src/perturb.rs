@@ -17,6 +17,7 @@
 //! from any test-local context; tests that enable perturbation must hold
 //! [`STRESS_LOCK`] so parallel test binaries do not fight over it.
 
+use crate::rng::{splitmix64, GOLDEN_GAMMA};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Mutex;
 
@@ -40,13 +41,6 @@ pub fn disable() {
     ENABLED.store(false, Ordering::Release);
 }
 
-/// SplitMix64 finaliser — decorrelates consecutive counter values.
-fn mix(mut z: u64) -> u64 {
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
-
 /// A perturbation point. Insert where a badly-timed context switch would
 /// expose a race; no-op unless [`enable`]d.
 #[inline]
@@ -61,7 +55,7 @@ pub fn point(tag: u32) {
 fn slow_point(tag: u32) {
     let n = COUNTER.fetch_add(1, Ordering::Relaxed);
     let seed = SEED.load(Ordering::Relaxed);
-    let r = mix(seed ^ n.wrapping_mul(0x9E37_79B9_7F4A_7C15) ^ u64::from(tag) << 32);
+    let r = splitmix64(seed ^ n.wrapping_mul(GOLDEN_GAMMA) ^ u64::from(tag) << 32);
     match r % 8 {
         // Mostly do nothing: perturbation should be sparse enough that
         // threads still make progress and overlap.

@@ -43,9 +43,9 @@
 //! Interleaving-sensitive spots call [`perturb::point`](crate::perturb),
 //! which the seeded stress tests use to explore schedules.
 
-use crate::faultpoint::{self, Directive};
+use crate::fault;
 use crate::perturb;
-use crate::tracehook;
+use crate::trace;
 use std::any::Any;
 use std::cell::Cell;
 use std::collections::VecDeque;
@@ -220,7 +220,7 @@ thread_local! {
 /// ## Worker-death detection and replacement
 ///
 /// A worker can die: the `pool.worker` fault point
-/// ([`crate::faultpoint`]) injects clean exits and panics to model it.
+/// ([`crate::fault`]) injects clean exits and panics to model it.
 /// Death is *detected* at the batch barrier — [`BatchHandle::wait`] polls
 /// on a short timeout and calls [`ThreadPool::ensure_workers`], which
 /// joins finished workers and spawns replacements (counted by
@@ -380,7 +380,7 @@ impl ThreadPool {
             return;
         }
         perturb::point(perturb::tags::POOL_SUBMIT);
-        let dispatch = tracehook::span(tracehook::names::POOL_DISPATCH, tracehook::cats::POOL);
+        let dispatch = trace::span(trace::names::POOL_DISPATCH, trace::cats::POOL);
         {
             let mut state = lock_ignore_poison(&self.queue.jobs);
             state.jobs.push_back((job, Arc::clone(latch)));
@@ -416,7 +416,7 @@ impl BatchHandle<'_> {
     /// mid-flight.
     pub fn wait(self) {
         perturb::point(perturb::tags::BATCH_WAIT);
-        let _wait = tracehook::span(tracehook::names::POOL_WAIT, tracehook::cats::POOL);
+        let _wait = trace::span(trace::names::POOL_WAIT, trace::cats::POOL);
         while !self.latch.wait_timeout(WORKER_CHECK_PERIOD) {
             self.pool.ensure_workers();
         }
@@ -431,7 +431,7 @@ fn run_job(job: Job, latch: &Arc<Latch>) {
     // panic and is updated under its own lock. A panic unwinds the span
     // guard too, so the trace stays balanced.
     let outcome = catch_unwind(AssertUnwindSafe(|| {
-        let _job = tracehook::span(tracehook::names::POOL_JOB, tracehook::cats::POOL);
+        let _job = trace::span(trace::names::POOL_JOB, trace::cats::POOL);
         job();
     }));
     perturb::point(perturb::tags::POOL_DONE);
@@ -443,12 +443,8 @@ fn worker_loop(queue: &Queue) {
         // The fault point sits *before* the dequeue so an injected death
         // never takes a job with it: the job stays queued for a live or
         // replacement worker, and batch latches never leak a count.
-        match faultpoint::point(faultpoint::sites::POOL_WORKER) {
-            Directive::Proceed => {}
-            Directive::Die => return,
-            // blob-check: allow(no-unwrap-in-lib): injected worker panic is the fault plane's contract; unwind containment is under test
-            Directive::Panic => panic!("injected fault panic at `pool.worker`"),
-            Directive::Delay(d) => std::thread::sleep(d),
+        if fault::point(fault::sites::POOL_WORKER).is_err() {
+            return;
         }
         let (job, latch) = {
             let mut state = lock_ignore_poison(&queue.jobs);
@@ -526,7 +522,7 @@ where
         }
         return;
     }
-    let dispatch = tracehook::span(tracehook::names::POOL_DISPATCH, tracehook::cats::POOL);
+    let dispatch = trace::span(trace::names::POOL_DISPATCH, trace::cats::POOL);
     dispatch.annotate("jobs", jobs.len() as u64);
     let rest = jobs.split_off(1);
     let Some(first) = jobs.pop() else {
@@ -542,14 +538,14 @@ where
             .map(|job| {
                 s.spawn(move || {
                     perturb::point(perturb::tags::SCOPED_JOB);
-                    let _job = tracehook::span(tracehook::names::POOL_JOB, tracehook::cats::POOL);
+                    let _job = trace::span(trace::names::POOL_JOB, trace::cats::POOL);
                     job();
                 })
             })
             .collect();
         perturb::point(perturb::tags::SCOPED_CALLER);
         {
-            let _job = tracehook::span(tracehook::names::POOL_JOB, tracehook::cats::POOL);
+            let _job = trace::span(trace::names::POOL_JOB, trace::cats::POOL);
             first();
         }
         handles.into_iter().filter_map(|h| h.join().err()).next()

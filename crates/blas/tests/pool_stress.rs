@@ -265,21 +265,25 @@ fn run_scoped_covers_all_jobs_under_perturbed_schedules() {
 // Worker-death injection (the `pool.worker` fault point)
 // ---------------------------------------------------------------------------
 
-use blob_blas::faultpoint::{self, Directive};
+use blob_blas::fault;
+use std::sync::Barrier;
 
-/// Runs `f` with a faultpoint hook installed, under the stress lock (the
-/// hook and its activation flag are process-global, like perturbation).
-fn with_fault_hook(
-    hook: impl Fn(&'static str) -> Directive + Send + Sync + 'static,
-    f: impl FnOnce(),
-) {
+/// Runs `f` under the stress lock, since a fault plan is process-global
+/// like perturbation; `f` installs its plan with [`install_plan`]. The plan
+/// is cleared afterwards and must have fired: every worker-death test goes
+/// the real way, plan → `pool.worker` point → worker exit.
+fn with_fault_plan(f: impl FnOnce()) {
     let _guard = perturb::STRESS_LOCK
         .lock()
         .unwrap_or_else(|poisoned| poisoned.into_inner());
-    faultpoint::set_hook(hook);
-    faultpoint::set_active(true);
     f();
-    faultpoint::set_active(false);
+    let injected = fault::injected_total();
+    fault::clear();
+    assert!(injected >= 1, "the fault plan never fired");
+}
+
+fn install_plan(spec: &str) {
+    fault::install(&fault::Plan::parse(spec).expect("a valid fault plan"));
 }
 
 #[test]
@@ -287,38 +291,42 @@ fn batch_completes_after_every_worker_dies_mid_batch() {
     // Kill each of the 3 workers the first time it reaches the fault
     // point; the batch barrier must detect the deaths, respawn workers,
     // and still run all 60 jobs exactly once.
-    let deaths = AtomicUsize::new(3);
-    with_fault_hook(
-        move |site| {
-            if site == "pool.worker"
-                && deaths
-                    .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |d| d.checked_sub(1))
-                    .is_ok()
-            {
-                return Directive::Die;
-            }
-            Directive::Proceed
-        },
-        || {
-            let pool = ThreadPool::new(3);
-            let counter = Arc::new(AtomicUsize::new(0));
-            let mut batch = pool.batch();
-            for _ in 0..60 {
-                let c = Arc::clone(&counter);
-                batch.submit(move || {
-                    c.fetch_add(1, Ordering::Relaxed);
-                    std::thread::sleep(std::time::Duration::from_micros(200));
-                });
-            }
-            batch.wait();
-            assert_eq!(counter.load(Ordering::Relaxed), 60, "no job may be lost");
-            assert!(
-                pool.replaced_workers() >= 1,
-                "dead workers must be replaced (got {})",
-                pool.replaced_workers()
-            );
-        },
-    );
+    with_fault_plan(|| {
+        let pool = ThreadPool::new(3);
+        // Hold all three workers inside a job while the plan goes in: each
+        // has then passed its fault point, so each dies after the batch is
+        // queued, not at spawn (a pool that lost every worker before the
+        // first submit would run the whole batch inline).
+        let gate = Arc::new(Barrier::new(4));
+        let mut hold = pool.batch();
+        for _ in 0..3 {
+            let g = Arc::clone(&gate);
+            hold.submit(move || {
+                g.wait();
+                g.wait();
+            });
+        }
+        gate.wait();
+        install_plan("pool.worker:error@1x3");
+        let counter = Arc::new(AtomicUsize::new(0));
+        let mut batch = pool.batch();
+        for _ in 0..60 {
+            let c = Arc::clone(&counter);
+            batch.submit(move || {
+                c.fetch_add(1, Ordering::Relaxed);
+                std::thread::sleep(std::time::Duration::from_micros(200));
+            });
+        }
+        gate.wait();
+        hold.wait();
+        batch.wait();
+        assert_eq!(counter.load(Ordering::Relaxed), 60, "no job may be lost");
+        assert!(
+            pool.replaced_workers() >= 1,
+            "dead workers must be replaced (got {})",
+            pool.replaced_workers()
+        );
+    });
 }
 
 #[test]
@@ -326,71 +334,42 @@ fn batch_completes_when_a_worker_panics_between_jobs() {
     // An injected *panic* (not a clean exit) unwinds the worker thread;
     // the barrier must still heal the pool and finish the batch without
     // re-throwing the injected panic to the waiter (it belongs to no job).
-    let panics = AtomicUsize::new(1);
-    with_fault_hook(
-        move |site| {
-            if site == "pool.worker"
-                && panics
-                    .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |d| d.checked_sub(1))
-                    .is_ok()
-            {
-                return Directive::Panic;
-            }
-            Directive::Proceed
-        },
-        || {
-            let pool = ThreadPool::new(2);
-            let counter = Arc::new(AtomicUsize::new(0));
-            let mut batch = pool.batch();
-            for _ in 0..40 {
-                let c = Arc::clone(&counter);
-                batch.submit(move || {
-                    c.fetch_add(1, Ordering::Relaxed);
-                });
-            }
-            batch.wait();
-            assert_eq!(counter.load(Ordering::Relaxed), 40);
-        },
-    );
+    with_fault_plan(|| {
+        install_plan("pool.worker:panic@1x1");
+        let pool = ThreadPool::new(2);
+        let counter = Arc::new(AtomicUsize::new(0));
+        let mut batch = pool.batch();
+        for _ in 0..40 {
+            let c = Arc::clone(&counter);
+            batch.submit(move || {
+                c.fetch_add(1, Ordering::Relaxed);
+            });
+        }
+        batch.wait();
+        assert_eq!(counter.load(Ordering::Relaxed), 40);
+    });
 }
 
 #[test]
 fn pool_survives_repeated_probabilistic_worker_death() {
     // A 30% death rate across many batches: every batch must still
     // complete and the pool must keep healing itself.
-    let mut mix = 0x1234_5678_u64;
-    let draws = std::sync::Mutex::new(move || {
-        mix ^= mix << 13;
-        mix ^= mix >> 7;
-        mix ^= mix << 17;
-        mix % 100 < 30
+    with_fault_plan(|| {
+        install_plan("seed=7;pool.worker:error@0.3");
+        let pool = ThreadPool::new(4);
+        let counter = Arc::new(AtomicUsize::new(0));
+        for _round in 0..10 {
+            let mut batch = pool.batch();
+            for _ in 0..25 {
+                let c = Arc::clone(&counter);
+                batch.submit(move || {
+                    c.fetch_add(1, Ordering::Relaxed);
+                });
+            }
+            batch.wait();
+        }
+        assert_eq!(counter.load(Ordering::Relaxed), 250);
     });
-    with_fault_hook(
-        move |site| {
-            if site == "pool.worker" {
-                let mut d = draws.lock().unwrap_or_else(|p| p.into_inner());
-                if d() {
-                    return Directive::Die;
-                }
-            }
-            Directive::Proceed
-        },
-        || {
-            let pool = ThreadPool::new(4);
-            let counter = Arc::new(AtomicUsize::new(0));
-            for _round in 0..10 {
-                let mut batch = pool.batch();
-                for _ in 0..25 {
-                    let c = Arc::clone(&counter);
-                    batch.submit(move || {
-                        c.fetch_add(1, Ordering::Relaxed);
-                    });
-                }
-                batch.wait();
-            }
-            assert_eq!(counter.load(Ordering::Relaxed), 250);
-        },
-    );
 }
 
 #[test]

@@ -16,11 +16,11 @@
 use blob_blas::contract::gemm_rel_tolerance;
 use blob_blas::emul::{slice_bits, EMUL_KC};
 use blob_blas::gemm::KC;
+use blob_blas::rng::XorShift64;
 use blob_blas::scalar::{Precision, Scalar};
 use blob_blas::{
     gemm_blocked, gemm_emul, gemm_half, gemm_parallel, gemm_ref, gemv_emul, Bf16, HalfScalar, F16,
 };
-use blob_core::rng::XorShift64;
 
 const SHAPES: [(usize, usize); 3] = [(1, 1), (19, 9), (45, 37)];
 const INNER: [usize; 5] = [1, 31, 32, 33, KC + 17];

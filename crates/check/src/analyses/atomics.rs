@@ -1,7 +1,7 @@
 //! `atomics-ordering`: memory-ordering discipline for atomic accesses.
 //!
 //! Accesses are grouped per atomic symbol — globally when the declaration
-//! is unique workspace-wide, per file otherwise (four different modules
+//! is unique workspace-wide, per file otherwise (two different modules
 //! each own an `ACTIVE` flag). Per group:
 //!
 //! * **pure `Relaxed`** — a counter; always clean.
@@ -27,11 +27,9 @@ use std::collections::BTreeMap;
 /// per enable/disable cycle and the consumers tolerate a stale read by
 /// design (a late-enabled trace loses at most the spans already in
 /// flight), so the cheap load keeps the disabled path at zero cost.
-const ALLOWED_GATES: [(&str, &str); 4] = [
-    ("crates/core/src/trace.rs", "ACTIVE"),
-    ("crates/core/src/fault.rs", "ACTIVE"),
-    ("crates/blas/src/tracehook.rs", "ACTIVE"),
-    ("crates/blas/src/faultpoint.rs", "ACTIVE"),
+const ALLOWED_GATES: [(&str, &str); 2] = [
+    ("crates/blas/src/trace.rs", "ACTIVE"),
+    ("crates/blas/src/fault.rs", "ACTIVE"),
 ];
 
 /// Atomic methods and whether they read, write, or both.
@@ -258,7 +256,7 @@ mod tests {
     #[test]
     fn allowlisted_gate_is_exempt() {
         let f = run(&[(
-            "crates/core/src/trace.rs",
+            "crates/blas/src/trace.rs",
             "static ACTIVE: AtomicBool = AtomicBool::new(false);\n\
              fn on() { ACTIVE.store(true, Ordering::Release); }\n\
              fn hot() -> bool { ACTIVE.load(Ordering::Relaxed) }\n",

@@ -25,7 +25,7 @@ use std::collections::BTreeSet;
 /// `(module, push, pop, home_file)` — bare `push()`/`pop()` calls match
 /// only inside the home file, where the functions are in scope unqualified.
 const PAIRS: [(&str, &str, &str, &str); 2] = [
-    ("trace", "begin", "end", "crates/core/src/trace.rs"),
+    ("trace", "begin", "end", "crates/blas/src/trace.rs"),
     ("arena", "take", "restore", "crates/blas/src/arena.rs"),
 ];
 
@@ -307,7 +307,7 @@ mod tests {
     #[test]
     fn bare_names_match_only_in_the_home_file() {
         // inside trace.rs, bare begin() counts
-        let f = run("crates/core/src/trace.rs", "pub fn span() { begin(); }\n");
+        let f = run("crates/blas/src/trace.rs", "pub fn span() { begin(); }\n");
         assert_eq!(f.len(), 1, "{f:?}");
         // the same bare call elsewhere is some unrelated function
         let f = run("crates/blas/src/other.rs", "pub fn span() { begin(); }\n");

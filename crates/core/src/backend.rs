@@ -216,8 +216,15 @@ mod tests {
     fn host_backend_measures_real_time() {
         let host = HostCpu::with_threads(1);
         let call = BlasCall::gemm(Precision::F64, 64, 64, 64);
-        let t1 = host.cpu_seconds(&call, 1);
-        let t4 = host.cpu_seconds(&call, 4);
+        // the fastest of five: parallel tests share the cores, and a
+        // descheduled call only ever adds time
+        let fastest = |iters| {
+            (0..5)
+                .map(|_| host.cpu_seconds(&call, iters))
+                .fold(f64::INFINITY, f64::min)
+        };
+        let t1 = fastest(1);
+        let t4 = fastest(4);
         assert!(t1 > 0.0);
         // 4 iterations take longer than 1 (wall-clock is noisy, so only a
         // weak monotonicity check)

@@ -19,8 +19,11 @@
 //!   `gpu-blob --json`, and `blob-check`
 //! - [`schema`] — the versioned v1 request/response schema: `parse_*`
 //!   validators paired with `wire`'s `*_json` encoders, defined once
-//! - [`trace`] — structured tracing & profiling: per-thread span
-//!   recording, chrome://tracing export, aggregated text profiles
+//! - [`trace`] — structured tracing & profiling: the `blob-blas` span
+//!   recorder re-exported, plus chrome://tracing export and aggregated
+//!   text profiles
+//! - [`fault`], [`rng`] — the seeded fault plane and the deterministic
+//!   generator, re-exported from `blob-blas`, where the pool calls them
 //!
 //! ## Quickstart
 //!
@@ -43,10 +46,8 @@ pub mod checkpoint;
 pub mod csv;
 pub mod custom;
 pub mod custom_runner;
-pub mod fault;
 pub mod operands;
 pub mod problem;
-pub mod rng;
 pub mod runner;
 pub mod schema;
 pub mod testkit;
@@ -60,6 +61,10 @@ pub mod wire;
 // covers the whole vocabulary.
 pub use blob_blas::contract;
 pub use blob_blas::contract::ContractError;
+
+// The fault plane and the generator sit below the kernels too (the pool
+// calls `fault::point` directly); their public paths stay here.
+pub use blob_blas::{fault, rng};
 
 pub use advisor::{advise, advise_across, advise_from_parts, classify, Advice, Verdict};
 pub use backend::{Backend, HostCpu};

@@ -780,7 +780,7 @@ pub fn run_sweep_checkpointed(
 mod tests {
     use super::*;
     use crate::problem::{GemmProblem, GemvProblem};
-    use blob_sim::presets;
+    use blob_sim::{presets, SystemModel};
 
     #[test]
     fn sweep_covers_requested_sizes() {
@@ -988,17 +988,34 @@ mod tests {
         std::fs::remove_dir_all(&d).ok();
     }
 
+    /// DAWN's model, except that the first CPU timing sleeps 40 ms: a slow
+    /// size that no other test can take.
+    struct SlowFirstSize {
+        model: SystemModel,
+        slept: std::cell::Cell<bool>,
+    }
+
+    impl Backend for SlowFirstSize {
+        fn name(&self) -> String {
+            self.model.name()
+        }
+        fn cpu_seconds(&self, call: &BlasCall, iters: u32) -> f64 {
+            if !self.slept.replace(true) {
+                std::thread::sleep(Duration::from_millis(40));
+            }
+            self.model.cpu_seconds(call, iters)
+        }
+        fn gpu_seconds(&self, call: &BlasCall, iters: u32, offload: Offload) -> Option<f64> {
+            self.model.gpu_seconds(call, iters, offload)
+        }
+    }
+
     #[test]
     fn watchdog_flags_a_slow_size() {
-        let _guard = crate::fault::CHAOS_LOCK
-            .lock()
-            .unwrap_or_else(|e| e.into_inner());
-        // The plan is process-global and other tests' sweeps (without the
-        // lock) can take a delay too; each such sweep then sleeps 40 ms, so
-        // eight delays leave some for this sweep's first size.
-        let plan = crate::fault::Plan::parse("seed=5;runner.size:delay(40ms)@1x8").unwrap();
-        crate::fault::install(&plan);
-        let sys = presets::dawn();
+        let sys = SlowFirstSize {
+            model: presets::dawn(),
+            slept: std::cell::Cell::new(false),
+        };
         let cfg = SweepConfig::new(1, 3, 1);
         let d = tdir("watchdog");
         let path = d.join("ck.json");
@@ -1012,7 +1029,6 @@ mod tests {
             Some(Duration::from_millis(10)),
         )
         .unwrap();
-        crate::fault::clear();
         assert!(
             run.watchdog_stalls >= 1,
             "40ms injected delay must trip a 10ms budget"

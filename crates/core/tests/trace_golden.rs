@@ -1,7 +1,7 @@
 //! Golden test for the trace plane: a small traced sweep must emit a
 //! valid chrome://tracing JSON document containing the per-size runner
-//! spans, the GEMM pack/compute micro-phase spans (via the blas
-//! tracehook), and — when the measurement fans out over the thread pool —
+//! spans, the GEMM pack/compute micro-phase spans (recorded by the kernels
+//! into the same recorder), and — when the measurement fans out over the thread pool —
 //! the pool dispatch/job/wait spans, all correctly parented.
 
 use blob_core::backend::HostCpu;
