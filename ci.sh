@@ -14,12 +14,17 @@
 #                               full 17-rule catalogue (token rules +
 #                               contract-guard + the CFG/dataflow analyses:
 #                               atomics-ordering, lock-discipline, balance,
-#                               drop-on-path) under a 5 s wall-clock budget
-#                               (writes results/check_timing.json), then
-#                               `--self`: the checker stays clean under its
-#                               own rules
+#                               drop-on-path), the checker's own sources
+#                               included, under a 5 s wall-clock budget
+#                               (writes results/check_timing.json)
 #   3. cargo build --release    everything compiles optimised, warnings-free
-#   4. cargo test -q            the full workspace test suite, then the
+#   4. cargo test -q            the full workspace test suite — including
+#                               the serve_smoke end-to-end test (healthz,
+#                               advise, a threshold cache hit, shutdown),
+#                               the chaos suites (fault_plan, chaos,
+#                               chaos_resume: panic containment, worker
+#                               replacement, load shedding, kill-and-resume)
+#                               and the fabric tests — then the
 #                               bf16_batched_inference example runs, since
 #                               its f32/bf16 error asserts only fire when
 #                               it executes
@@ -56,17 +61,9 @@
 #                               a disabled fault point, a disabled trace
 #                               span and one auto-dispatch decide/complete
 #                               round trip each cost < 1% of it
-#  10. server smoke             gpu-blob serve end-to-end: /v1/healthz,
-#                               /v1/advise, a /v1/threshold cache hit verified
-#                               via /v1/metrics, and a clean /v1/shutdown
-#                               (serve_smoke e2e test)
-#  11. chaos suite              seeded fault plans against the live server
-#                               (panic containment, worker replacement, load
-#                               shedding, retry) and the kill-and-resume
-#                               sweep (byte-identical CSV after SIGKILL)
-#  12. server load gate         serve_load must sustain >= 1000 req/s on
+#  10. server load gate         serve_load must sustain >= 1000 req/s on
 #                               loopback
-#  13. fabric chaos gate        serve_load --shards 3 --kill-one under a
+#  11. fabric chaos gate        serve_load --shards 3 --kill-one under a
 #                               seeded backend fault plan: one worker
 #                               process is killed a quarter of the way
 #                               through and the shard router must finish
@@ -86,9 +83,6 @@ cargo fmt --check
 echo "==> blob-check (full workspace, 5 s budget)"
 mkdir -p results
 cargo run -q -p blob-check --offline -- --timing results/check_timing.json --budget-ms 5000
-
-echo "==> blob-check --self"
-cargo run -q -p blob-check --offline -- --self
 
 echo "==> cargo build --release"
 cargo build --release --workspace --offline
@@ -138,20 +132,11 @@ grep -o '"cpu_seconds": [^,]*' <<<"$HOST_OUT" |
 echo "==> overhead gate (disabled fault point, disabled trace span, one dispatch decision: each < 1% of gemm_par4_64)"
 cargo run -q --release -p blob-bench --bin overhead_gate --offline
 
-echo "==> server smoke (healthz, advise, threshold cache hit, shutdown)"
-cargo test -q -p blob-cli --test serve_smoke --offline
-
-echo "==> chaos suite (seeded fault plans, self-healing, kill-and-resume)"
-cargo test -q -p blob-core --test fault_plan --offline
-cargo test -q -p blob-serve --test chaos --offline
-cargo test -q -p blob-cli --test chaos_resume --offline
-
 echo "==> server load gate (>= 1000 req/s loopback)"
 cargo run -q --release -p blob-bench --bin serve_load --offline -- \
     --clients 4 --requests 2000 --min-rps 1000
 
 echo "==> fabric chaos gate (kill a shard mid-run, zero failed requests)"
-cargo test -q -p blob-serve --test fabric --offline
 GPU_BLOB_FAULTS="seed=11;fabric.backend:error@0.02" timeout 30 \
     cargo run -q --release -p blob-bench --bin serve_load --offline -- \
     --shards 3 --kill-one --batch 16 --clients 4 --requests 400 --min-rps 31000

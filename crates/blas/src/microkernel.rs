@@ -23,9 +23,9 @@
 //! always the same two-part obligation:
 //!
 //! 1. **CPU support**: the caller must have verified the named feature set
-//!    at runtime. The only callers are the `ukernel_arch_*`/`axpy_arch_*`/
-//!    `dot_arch_*` dispatchers below, which check [`Engine::available`]
-//!    (backed by `is_x86_feature_detected!`) before every call.
+//!    at runtime. The only callers are the `ukernel_arch_*`/`axpy_arch_*`
+//!    dispatchers below, which check [`Engine::available`] (backed by
+//!    `is_x86_feature_detected!`) before every call.
 //! 2. **Bounds**: raw-pointer loads/stores stay in bounds. Each kernel
 //!    `assert!`s the full slice-length requirement once on entry, so the
 //!    per-iteration pointer arithmetic is covered by a proof hoisted out of
@@ -50,11 +50,6 @@ pub const MAX_MR: usize = 32;
 pub const MAX_NR: usize = 8;
 /// Accumulator capacity covering every candidate geometry.
 pub const MAX_ACC: usize = MAX_MR * MAX_NR;
-
-/// Number of independent accumulator lanes the [`dot`] kernel contract
-/// fixes, so every engine (and the scalar fallback) produces bit-identical
-/// sums regardless of vector width.
-pub const DOT_LANES: usize = 8;
 
 /// A candidate micro-tile geometry: `mr` rows × `nr` columns.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -342,55 +337,6 @@ pub fn axpy_update<T: Scalar>(w: T, src: &[T], dst: &mut [T]) {
     axpy_update_with(active_engine(), w, src, dst);
 }
 
-/// Folds [`DOT_LANES`] partial sums in the fixed tree order every engine
-/// shares, then drains the tail serially: the second half of the [`dot`]
-/// contract.
-#[inline]
-fn dot_fold<T: Scalar>(mut lane: [T; DOT_LANES], a: &[T], b: &[T], from: usize) -> T {
-    for l in 0..4 {
-        lane[l] += lane[l + 4];
-    }
-    lane[0] += lane[2];
-    lane[1] += lane[3];
-    let mut s = lane[0] + lane[1];
-    for i in from..a.len().min(b.len()) {
-        s = a[i].mul_add(b[i], s);
-    }
-    s
-}
-
-/// Unit-stride dot product with a fixed [`DOT_LANES`]-lane accumulation
-/// contract, dispatched through `engine`.
-///
-/// Lane `l` accumulates elements `i ≡ l (mod DOT_LANES)` over the widest
-/// full block, lanes fold pairwise in a fixed tree, and the tail is added
-/// serially. Because the contract pins the *order*, not the instruction
-/// set, every engine (and the scalar fallback) returns bit-identical sums.
-pub fn dot_with<T: Scalar>(engine: Engine, a: &[T], b: &[T]) -> T {
-    let n = a.len().min(b.len());
-    let n8 = n - n % DOT_LANES;
-    if engine != Engine::Scalar {
-        if let Some(lane) = T::dot_arch(engine, &a[..n8], &b[..n8]) {
-            return dot_fold(lane, a, b, n8);
-        }
-    }
-    let mut lane = [T::ZERO; DOT_LANES];
-    let mut i = 0;
-    while i < n8 {
-        for l in 0..DOT_LANES {
-            lane[l] = a[i + l].mul_add(b[i + l], lane[l]);
-        }
-        i += DOT_LANES;
-    }
-    dot_fold(lane, a, b, n8)
-}
-
-/// [`dot_with`] on the startup-selected [`active_engine`].
-#[inline]
-pub fn dot<T: Scalar>(a: &[T], b: &[T]) -> T {
-    dot_with(active_engine(), a, b)
-}
-
 /// Writes an accumulator tile into `C` with BLAS beta semantics.
 ///
 /// `acc` is column-major with leading dimension `acc_ld` (the geometry's
@@ -590,99 +536,6 @@ mod x86 {
         axpy_f32_avx512, "avx512f", f32, 16,
         _mm512_loadu_ps, _mm512_set1_ps, _mm512_fmadd_ps, _mm512_storeu_ps
     );
-
-    /// AVX2+FMA f64 dot partial sums under the fixed 8-lane contract:
-    /// two 4-lane vectors hold lanes 0–3 and 4–7.
-    ///
-    /// # Safety
-    ///
-    /// Caller must have verified AVX2+FMA support at runtime and pass
-    /// equal-length slices whose length is a multiple of 8 (asserted).
-    #[target_feature(enable = "avx2,fma")]
-    pub(super) unsafe fn dot_f64_avx2(a: &[f64], b: &[f64]) -> [f64; 8] {
-        let n = a.len();
-        assert!(b.len() >= n && n % 8 == 0, "dot block length contract");
-        let ap = a.as_ptr();
-        let bp = b.as_ptr();
-        let mut lo = _mm256_set1_pd(0.0);
-        let mut hi = _mm256_set1_pd(0.0);
-        let mut i = 0;
-        while i < n {
-            // SAFETY: i + 8 <= n per the entry assert.
-            unsafe {
-                lo = _mm256_fmadd_pd(_mm256_loadu_pd(ap.add(i)), _mm256_loadu_pd(bp.add(i)), lo);
-                hi = _mm256_fmadd_pd(
-                    _mm256_loadu_pd(ap.add(i + 4)),
-                    _mm256_loadu_pd(bp.add(i + 4)),
-                    hi,
-                );
-            }
-            i += 8;
-        }
-        let mut out = [0.0; 8];
-        // SAFETY: `out` is 8 elements — room for both 4-lane stores.
-        unsafe {
-            _mm256_storeu_pd(out.as_mut_ptr(), lo);
-            _mm256_storeu_pd(out.as_mut_ptr().add(4), hi);
-        }
-        out
-    }
-
-    /// AVX2+FMA f32 dot partial sums under the fixed 8-lane contract:
-    /// one 8-lane vector.
-    ///
-    /// # Safety
-    ///
-    /// Caller must have verified AVX2+FMA support at runtime and pass
-    /// equal-length slices whose length is a multiple of 8 (asserted).
-    #[target_feature(enable = "avx2,fma")]
-    pub(super) unsafe fn dot_f32_avx2(a: &[f32], b: &[f32]) -> [f32; 8] {
-        let n = a.len();
-        assert!(b.len() >= n && n % 8 == 0, "dot block length contract");
-        let ap = a.as_ptr();
-        let bp = b.as_ptr();
-        let mut acc = _mm256_set1_ps(0.0);
-        let mut i = 0;
-        while i < n {
-            // SAFETY: i + 8 <= n per the entry assert.
-            unsafe {
-                acc = _mm256_fmadd_ps(_mm256_loadu_ps(ap.add(i)), _mm256_loadu_ps(bp.add(i)), acc);
-            }
-            i += 8;
-        }
-        let mut out = [0.0; 8];
-        // SAFETY: `out` is 8 elements — exactly one 8-lane store.
-        unsafe { _mm256_storeu_ps(out.as_mut_ptr(), acc) };
-        out
-    }
-
-    /// AVX-512F f64 dot partial sums under the fixed 8-lane contract:
-    /// one 8-lane vector.
-    ///
-    /// # Safety
-    ///
-    /// Caller must have verified AVX-512F support at runtime and pass
-    /// equal-length slices whose length is a multiple of 8 (asserted).
-    #[target_feature(enable = "avx512f")]
-    pub(super) unsafe fn dot_f64_avx512(a: &[f64], b: &[f64]) -> [f64; 8] {
-        let n = a.len();
-        assert!(b.len() >= n && n % 8 == 0, "dot block length contract");
-        let ap = a.as_ptr();
-        let bp = b.as_ptr();
-        let mut acc = _mm512_set1_pd(0.0);
-        let mut i = 0;
-        while i < n {
-            // SAFETY: i + 8 <= n per the entry assert.
-            unsafe {
-                acc = _mm512_fmadd_pd(_mm512_loadu_pd(ap.add(i)), _mm512_loadu_pd(bp.add(i)), acc);
-            }
-            i += 8;
-        }
-        let mut out = [0.0; 8];
-        // SAFETY: `out` is 8 elements — exactly one 8-lane store.
-        unsafe { _mm512_storeu_pd(out.as_mut_ptr(), acc) };
-        out
-    }
 }
 
 /// Attempts an explicit-SIMD micro-kernel run for `f64` slivers; `false`
@@ -807,51 +660,6 @@ pub(crate) fn axpy_arch_f32(engine: Engine, w: f32, src: &[f32], dst: &mut [f32]
     }
 }
 
-/// Attempts explicit-SIMD dot partial sums for `f64` (8-lane contract);
-/// `None` ⇒ scalar fallback.
-pub(crate) fn dot_arch_f64(engine: Engine, a: &[f64], b: &[f64]) -> Option<[f64; DOT_LANES]> {
-    #[cfg(target_arch = "x86_64")]
-    {
-        if !engine.available() {
-            return None;
-        }
-        // SAFETY: CPU support verified; block-length contract asserted
-        // inside the kernel (callers pass a multiple-of-8 prefix).
-        match engine {
-            Engine::Avx2Fma => Some(unsafe { x86::dot_f64_avx2(a, b) }),
-            Engine::Avx512 => Some(unsafe { x86::dot_f64_avx512(a, b) }),
-            Engine::Scalar => None,
-        }
-    }
-    #[cfg(not(target_arch = "x86_64"))]
-    {
-        let _ = (engine, a, b);
-        None
-    }
-}
-
-/// Attempts explicit-SIMD dot partial sums for `f32` (8-lane contract);
-/// `None` ⇒ scalar fallback. AVX-512 hosts reuse the 256-bit kernel — the
-/// 8-lane contract pins the lane count, not the register width.
-pub(crate) fn dot_arch_f32(engine: Engine, a: &[f32], b: &[f32]) -> Option<[f32; DOT_LANES]> {
-    #[cfg(target_arch = "x86_64")]
-    {
-        match engine {
-            Engine::Avx2Fma | Engine::Avx512 if Engine::Avx2Fma.available() => {
-                // SAFETY: AVX2+FMA support verified on the line above;
-                // block-length contract asserted inside the kernel.
-                Some(unsafe { x86::dot_f32_avx2(a, b) })
-            }
-            _ => None,
-        }
-    }
-    #[cfg(not(target_arch = "x86_64"))]
-    {
-        let _ = (engine, a, b);
-        None
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -955,17 +763,13 @@ mod tests {
     }
 
     #[test]
-    fn axpy_and_dot_scalar_paths() {
+    fn axpy_scalar_path() {
         let src: Vec<f64> = (0..37).map(|i| i as f64 * 0.25 - 3.0).collect();
         let mut dst = vec![1.0f64; 37];
         axpy_update_with(Engine::Scalar, 2.0, &src, &mut dst);
         for i in 0..37 {
             assert_eq!(dst[i], src[i].mul_add(2.0, 1.0));
         }
-        let b: Vec<f64> = (0..37).map(|i| ((i * 7) % 5) as f64 - 2.0).collect();
-        let got = dot_with(Engine::Scalar, &src, &b);
-        let want: f64 = src.iter().zip(&b).map(|(x, y)| x * y).sum();
-        assert!((got - want).abs() < 1e-9);
     }
 
     #[test]

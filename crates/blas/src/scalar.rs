@@ -5,7 +5,7 @@
 //! exactly once while the harness sweeps both precisions, mirroring how the
 //! C++ artifact templates its kernels over `float`/`double`.
 
-use crate::microkernel::{Engine, Geometry, DOT_LANES};
+use crate::microkernel::{Engine, Geometry};
 use std::fmt::{Debug, Display};
 use std::iter::Sum;
 use std::ops::{Add, AddAssign, Div, DivAssign, Mul, MulAssign, Neg, Sub, SubAssign};
@@ -97,19 +97,10 @@ pub trait Scalar:
         let _ = (engine, w, src, dst);
         false
     }
-
-    /// Arch-specific dot hook under the fixed [`DOT_LANES`]-lane contract
-    /// (see [`crate::microkernel::dot_with`]); `None` requests the portable
-    /// scalar fallback. Inputs must have equal length, a multiple of
-    /// [`DOT_LANES`].
-    fn dot_arch(engine: Engine, a: &[Self], b: &[Self]) -> Option<[Self; DOT_LANES]> {
-        let _ = (engine, a, b);
-        None
-    }
 }
 
 macro_rules! impl_scalar {
-    ($t:ty, $prefix:expr, $ukernel:path, $axpy:path, $dot:path) => {
+    ($t:ty, $prefix:expr, $ukernel:path, $axpy:path) => {
         impl Scalar for $t {
             const ZERO: Self = 0.0;
             const ONE: Self = 1.0;
@@ -168,11 +159,6 @@ macro_rules! impl_scalar {
             fn axpy_arch(engine: Engine, w: Self, src: &[Self], dst: &mut [Self]) -> bool {
                 $axpy(engine, w, src, dst)
             }
-
-            #[inline]
-            fn dot_arch(engine: Engine, a: &[Self], b: &[Self]) -> Option<[Self; DOT_LANES]> {
-                $dot(engine, a, b)
-            }
         }
     };
 }
@@ -181,15 +167,13 @@ impl_scalar!(
     f32,
     's',
     crate::microkernel::ukernel_arch_f32,
-    crate::microkernel::axpy_arch_f32,
-    crate::microkernel::dot_arch_f32
+    crate::microkernel::axpy_arch_f32
 );
 impl_scalar!(
     f64,
     'd',
     crate::microkernel::ukernel_arch_f64,
-    crate::microkernel::axpy_arch_f64,
-    crate::microkernel::dot_arch_f64
+    crate::microkernel::axpy_arch_f64
 );
 
 /// The precisions the benchmark sweeps, as a runtime value.

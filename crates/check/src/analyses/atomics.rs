@@ -99,7 +99,7 @@ fn collect_sites(units: &[FileUnit]) -> Vec<Site> {
             continue;
         }
         for f in collect_fns(&u.ast.items) {
-            if super::in_test_region(u, f.line) {
+            if super::in_test_region(&u.test_regions, f.line) {
                 continue;
             }
             for e in fn_exprs(f) {

@@ -200,7 +200,7 @@ pub fn check(units: &[FileUnit]) -> Vec<Finding> {
             continue;
         }
         for f in collect_fns(&u.ast.items) {
-            if super::in_test_region(u, f.line) {
+            if super::in_test_region(&u.test_regions, f.line) {
                 continue;
             }
             for unit in build_units(f) {

@@ -81,7 +81,7 @@ fn facts_of(f: &FnItem) -> FnFacts {
 pub fn fn_facts(u: &FileUnit) -> Vec<FnFacts> {
     collect_fns(&u.ast.items)
         .into_iter()
-        .filter(|f| !super::in_test_region(u, f.line))
+        .filter(|f| !super::in_test_region(&u.test_regions, f.line))
         .map(facts_of)
         .collect()
 }

@@ -128,7 +128,7 @@ impl Walker<'_> {
     }
 
     fn note_acquire(&mut self, name: &str, line: usize) {
-        if super::in_test_region_lines(self.test_regions, line) {
+        if super::in_test_region(self.test_regions, line) {
             return;
         }
         let (sym, show) = self.qualify(name);
@@ -209,7 +209,7 @@ impl Walker<'_> {
 
     fn walk_expr(&mut self, e: &Expr) {
         if let Some(what) = is_dispatch(e) {
-            if !self.exempt_dispatch && !super::in_test_region_lines(self.test_regions, e.line) {
+            if !self.exempt_dispatch && !super::in_test_region(self.test_regions, e.line) {
                 if let Some(h) = self.held.first() {
                     self.findings.push(Finding::new(
                         "lock-discipline",
@@ -301,7 +301,7 @@ pub fn check(units: &[FileUnit], syms: &Symbols) -> Vec<Finding> {
             .unwrap_or("root")
             .to_string();
         for f in collect_fns(&u.ast.items) {
-            if super::in_test_region(u, f.line) {
+            if super::in_test_region(&u.test_regions, f.line) {
                 continue;
             }
             let mut w = Walker {

@@ -3,7 +3,7 @@
 //! Each submodule is one rule; they all consume [`crate::rules::FileUnit`]
 //! artifacts (token stream + AST + test regions, parsed once per file) and
 //! emit the same [`crate::rules::Finding`] shape as the token-level rules,
-//! so suppressions, baselines, and `--json` compose identically.
+//! so suppressions and `--json` compose identically.
 //!
 //! [`Symbols`] is the shared cross-file table: atomic declarations (for
 //! grouping accesses to the same atomic across files), `RwLock`
@@ -59,17 +59,7 @@ impl Symbols {
         for u in units {
             // token-level declaration scan: `name : AtomicX` / `name : RwLock`
             // (covers statics, struct fields, and thread_local! bodies alike)
-            let toks: Vec<_> = u
-                .tokens
-                .iter()
-                .filter(|t| {
-                    !matches!(
-                        t.kind,
-                        TokenKind::LineComment | TokenKind::BlockComment | TokenKind::DocComment
-                    )
-                })
-                .collect();
-            for w in toks.windows(3) {
+            for w in u.code.windows(3) {
                 if w[0].kind == TokenKind::Ident && w[1].text == ":" {
                     if w[2].text.starts_with("Atomic") {
                         *s.atomic_decls.entry(w[0].text.clone()).or_insert(0) += 1;
@@ -137,14 +127,9 @@ fn module_stem(path: &str) -> &str {
     it.next().unwrap_or(stem)
 }
 
-/// True when `line` falls inside any `#[cfg(test)]` region of the unit.
-pub(crate) fn in_test_region(u: &FileUnit, line: usize) -> bool {
-    in_test_region_lines(&u.test_regions, line)
-}
-
-/// Like [`in_test_region`] but on a raw region slice, for walkers that
-/// hold only parts of the unit.
-pub(crate) fn in_test_region_lines(regions: &[(usize, usize)], line: usize) -> bool {
+/// True when `line` falls inside one of a unit's test-only regions
+/// ([`FileUnit::test_regions`]).
+pub(crate) fn in_test_region(regions: &[(usize, usize)], line: usize) -> bool {
     regions.iter().any(|&(a, b)| line >= a && line <= b)
 }
 

@@ -2,10 +2,9 @@
 //! `--explain <rule>`, and suppression validation.
 //!
 //! Every rule the checker can emit lives in [`DOCS`] with its scope, the
-//! pattern it fires on, the rationale, and the exact suppression comment
-//! that silences it. [`crate::rules::RULES`] is derived from this table,
-//! so a rule cannot exist without documentation (a unit test enforces the
-//! 1:1 mapping and uniqueness).
+//! pattern it fires on, and the rationale. [`crate::rules::RULES`] is
+//! derived from this table, so a rule cannot exist without documentation
+//! (a unit test enforces the 1:1 mapping and uniqueness).
 
 /// Documentation for one rule.
 #[derive(Debug)]
@@ -18,9 +17,6 @@ pub struct RuleDoc {
     pub pattern: &'static str,
     /// Why the project enforces it.
     pub rationale: &'static str,
-    /// The suppression comment that silences one site (all rules use the
-    /// same syntax; the reason after the second `:` is mandatory).
-    pub suppression: &'static str,
 }
 
 /// All rules, in catalogue order. The last entry (`suppression`) is the
@@ -35,7 +31,6 @@ pub const DOCS: [RuleDoc; 17] = [
                     before rustc does, including in code excluded from the build. The \
                     two sanctioned files hold the explicit-SIMD micro-kernels and their \
                     packers; `no-unchecked-simd` polices them instead",
-        suppression: "// blob-check: allow(no-unsafe): <why>",
     },
     RuleDoc {
         name: "no-unwrap-in-lib",
@@ -43,7 +38,6 @@ pub const DOCS: [RuleDoc; 17] = [
         pattern: "`.unwrap()`, `.expect(…)`, or `panic!` in library code",
         rationale: "library code returns typed errors; panicking inside a kernel or the \
                     advisor tears down the caller's thread pool instead of reporting",
-        suppression: "// blob-check: allow(no-unwrap-in-lib): <why>",
     },
     RuleDoc {
         name: "no-unwrap-in-serve",
@@ -51,7 +45,6 @@ pub const DOCS: [RuleDoc; 17] = [
         pattern: "`.unwrap()`, `.expect(…)`, or `panic!` in service/driver binaries",
         rationale: "a panic in the long-running advisor service or the sweep driver \
                     aborts availability mid-run; errors must be reported and exited cleanly",
-        suppression: "// blob-check: allow(no-unwrap-in-serve): <why>",
     },
     RuleDoc {
         name: "no-float-eq",
@@ -59,7 +52,6 @@ pub const DOCS: [RuleDoc; 17] = [
         pattern: "`==` or `!=` with a float literal (or f32/f64 suffix) on either side",
         rationale: "exact float comparison in kernel/model code hides precision bugs; \
                     compare against a tolerance",
-        suppression: "// blob-check: allow(no-float-eq): <why>",
     },
     RuleDoc {
         name: "pub-item-docs",
@@ -67,7 +59,6 @@ pub const DOCS: [RuleDoc; 17] = [
         pattern: "a `pub` item or struct field with no doc comment above it",
         rationale: "the numeric core is the paper-facing API surface; undocumented \
                     public items degrade into folklore",
-        suppression: "// blob-check: allow(pub-item-docs): <why>",
     },
     RuleDoc {
         name: "contract-guard",
@@ -78,7 +69,6 @@ pub const DOCS: [RuleDoc; 17] = [
         rationale: "every public kernel entry point validates its dimension contract \
                     before touching data, so shape bugs surface as ContractError, not \
                     as out-of-bounds panics deep in a blocked loop",
-        suppression: "// blob-check: allow(contract-guard): <why>",
     },
     RuleDoc {
         name: "no-adhoc-scope",
@@ -87,7 +77,6 @@ pub const DOCS: [RuleDoc; 17] = [
         rationale: "blob_blas::pool is the only sanctioned home for scoped threads; \
                     ad-hoc scopes reintroduce per-call spawns on the hot path and dodge \
                     the pool's crossover/panic/perturbation machinery",
-        suppression: "// blob-check: allow(no-adhoc-scope): <why>",
     },
     RuleDoc {
         name: "no-raw-error-body",
@@ -96,7 +85,6 @@ pub const DOCS: [RuleDoc; 17] = [
         rationale: "error responses carry the uniform JSON envelope and trace header \
                     minted by `envelope::error_response`; hand-built errors fork the \
                     wire contract",
-        suppression: "// blob-check: allow(no-raw-error-body): <why>",
     },
     RuleDoc {
         name: "atomics-ordering",
@@ -110,7 +98,6 @@ pub const DOCS: [RuleDoc; 17] = [
                     unless it is a deliberate disabled-path fast gate; those gates are \
                     allowlisted (trace/fault ACTIVE flags) — anything else is a bug or \
                     needs a reasoned suppression",
-        suppression: "// blob-check: allow(atomics-ordering): <why>",
     },
     RuleDoc {
         name: "lock-discipline",
@@ -124,7 +111,6 @@ pub const DOCS: [RuleDoc; 17] = [
         rationale: "the pool executes jobs on caller and worker threads alike; a guard \
                     held across dispatch deadlocks the moment a job needs the same \
                     lock, and order cycles deadlock under concurrency",
-        suppression: "// blob-check: allow(lock-discipline): <why>",
     },
     RuleDoc {
         name: "balance",
@@ -138,7 +124,6 @@ pub const DOCS: [RuleDoc; 17] = [
         rationale: "an unbalanced span corrupts the trace tree for every later span \
                     on that thread, and a lost arena buffer defeats the zero-alloc \
                     steady state",
-        suppression: "// blob-check: allow(balance): <why>",
     },
     RuleDoc {
         name: "drop-on-path",
@@ -152,7 +137,6 @@ pub const DOCS: [RuleDoc; 17] = [
         rationale: "a silently dropped Result swallows contract violations and fault \
                     injections; every error path the paper's robustness story depends \
                     on must be handled or visibly ignored",
-        suppression: "// blob-check: allow(drop-on-path): <why>",
     },
     RuleDoc {
         name: "no-direct-kernel-in-dispatch",
@@ -166,7 +150,6 @@ pub const DOCS: [RuleDoc; 17] = [
                     where the decide/complete pairing, history feedback and residency \
                     accounting are guaranteed; a direct call anywhere else silently \
                     bypasses the dispatcher",
-        suppression: "// blob-check: allow(no-direct-kernel-in-dispatch): <why>",
     },
     RuleDoc {
         name: "no-unchecked-simd",
@@ -182,7 +165,6 @@ pub const DOCS: [RuleDoc; 17] = [
                     instruction on older hosts. Inside the sanctioned files every \
                     `unsafe fn` must state its safety contract so callers know what \
                     the dispatch layer guarantees",
-        suppression: "// blob-check: allow(no-unchecked-simd): <why>",
     },
     RuleDoc {
         name: "no-unbounded-queue",
@@ -197,7 +179,6 @@ pub const DOCS: [RuleDoc; 17] = [
                     `mpsc::sync_channel(cap)` or a capacity-checked \
                     `VecDeque::with_capacity(cap)` (like the fabric's \
                     connection `Pool`) so saturation sheds load at the edge",
-        suppression: "// blob-check: allow(no-unbounded-queue): <why>",
     },
     RuleDoc {
         name: "no-untagged-precision",
@@ -211,7 +192,6 @@ pub const DOCS: [RuleDoc; 17] = [
                     echo are all keyed on that tag. A public kernel entry point \
                     without an explicit `Precision` parameter lets a caller run one \
                     precision while the rest of the plane accounts for another",
-        suppression: "// blob-check: allow(no-untagged-precision): <why>",
     },
     RuleDoc {
         name: "suppression",
@@ -220,21 +200,21 @@ pub const DOCS: [RuleDoc; 17] = [
                   or naming a rule that does not exist",
         rationale: "suppressions are the audit trail for intentional violations; one \
                     without a reason is indistinguishable from a silenced bug",
-        suppression: "(not suppressible — fix the suppression itself)",
     },
 ];
 
-/// Looks up one rule's documentation by name.
-pub fn doc(rule: &str) -> Option<&'static RuleDoc> {
-    DOCS.iter().find(|d| d.name == rule)
-}
-
-/// Renders the full explanation for one rule (the `--explain` body).
+/// Renders the full explanation for one rule (the `--explain` body),
+/// ending with the suppression comment that silences one site: the same
+/// syntax for every rule, with a mandatory reason after the second `:`.
 pub fn explain(rule: &str) -> Option<String> {
-    let d = doc(rule)?;
+    let d = DOCS.iter().find(|d| d.name == rule)?;
+    let suppress = match d.name {
+        "suppression" => "(not suppressible — fix the suppression itself)".to_string(),
+        name => format!("// blob-check: allow({name}): <why>"),
+    };
     Some(format!(
-        "rule: {}\n\nscope:\n  {}\n\nfires on:\n  {}\n\nwhy:\n  {}\n\nsuppress one site with:\n  {}\n",
-        d.name, d.scope, d.pattern, d.rationale, d.suppression
+        "rule: {}\n\nscope:\n  {}\n\nfires on:\n  {}\n\nwhy:\n  {}\n\nsuppress one site with:\n  {suppress}\n",
+        d.name, d.scope, d.pattern, d.rationale
     ))
 }
 
@@ -264,7 +244,6 @@ mod tests {
             assert!(!d.scope.is_empty());
             assert!(!d.pattern.is_empty());
             assert!(!d.rationale.is_empty());
-            assert!(d.suppression.contains("blob-check") || d.name == "suppression");
         }
     }
 

@@ -54,6 +54,15 @@ impl Token {
             line,
         }
     }
+
+    /// True for line, block and doc comments: everything the parser and
+    /// the token rules skip, and the only place suppressions live.
+    pub fn is_comment(&self) -> bool {
+        matches!(
+            self.kind,
+            TokenKind::LineComment | TokenKind::BlockComment | TokenKind::DocComment
+        )
+    }
 }
 
 /// Multi-character operators the rules care about, longest first so the

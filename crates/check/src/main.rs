@@ -3,75 +3,43 @@
 //! ```text
 //! cargo run -p blob-check                       # check, human output
 //! cargo run -p blob-check -- --json             # machine-readable findings
-//! cargo run -p blob-check -- --write-baseline blob-check-baseline.json
-//! cargo run -p blob-check -- --baseline blob-check-baseline.json
-//! cargo run -p blob-check -- --baseline b.json --migrate-baseline
 //! cargo run -p blob-check -- --list-rules
 //! cargo run -p blob-check -- --explain balance
-//! cargo run -p blob-check -- --self             # check the checker only
 //! cargo run -p blob-check -- --timing t.json --budget-ms 5000
 //! ```
 //!
 //! Exit codes: 0 clean, 1 findings (or budget exceeded), 2 usage/IO error.
 
-use blob_check::{
-    apply_baseline_entries, check_files, collect_sources, explain, find_workspace_root,
-    parse_baseline_entries, rules::Finding, to_json,
-};
+use blob_check::{check_files, collect_sources, explain, find_workspace_root, to_json};
 use blob_core::wire::Json;
 use std::path::PathBuf;
 use std::process::ExitCode;
 use std::time::Instant;
 
+#[derive(Default)]
 struct Options {
     json: bool,
     root: Option<PathBuf>,
-    baseline: Option<PathBuf>,
-    write_baseline: Option<PathBuf>,
-    migrate_baseline: bool,
     list_rules: bool,
     explain: Option<String>,
-    self_only: bool,
     timing: Option<PathBuf>,
     budget_ms: Option<u64>,
 }
 
-const USAGE: &str = "usage: blob-check [--json] [--root DIR] [--baseline FILE] \
-[--write-baseline FILE] [--migrate-baseline] [--list-rules] [--explain RULE] \
-[--self] [--timing FILE] [--budget-ms N]";
+const USAGE: &str = "usage: blob-check [--json] [--root DIR] [--list-rules] [--explain RULE] \
+[--timing FILE] [--budget-ms N]";
 
 fn parse_args() -> Result<Options, String> {
-    let mut opts = Options {
-        json: false,
-        root: None,
-        baseline: None,
-        write_baseline: None,
-        migrate_baseline: false,
-        list_rules: false,
-        explain: None,
-        self_only: false,
-        timing: None,
-        budget_ms: None,
-    };
+    let mut opts = Options::default();
     let mut args = std::env::args().skip(1);
     while let Some(a) = args.next() {
         match a.as_str() {
             "--json" => opts.json = true,
             "--list-rules" => opts.list_rules = true,
-            "--migrate-baseline" => opts.migrate_baseline = true,
-            "--self" => opts.self_only = true,
             "--explain" => opts.explain = Some(args.next().ok_or("--explain needs a rule name")?),
             "--root" => {
                 opts.root = Some(PathBuf::from(
                     args.next().ok_or("--root needs a directory")?,
-                ))
-            }
-            "--baseline" => {
-                opts.baseline = Some(PathBuf::from(args.next().ok_or("--baseline needs a file")?))
-            }
-            "--write-baseline" => {
-                opts.write_baseline = Some(PathBuf::from(
-                    args.next().ok_or("--write-baseline needs a file")?,
                 ))
             }
             "--timing" => {
@@ -88,109 +56,48 @@ fn parse_args() -> Result<Options, String> {
             other => return Err(format!("unknown argument `{other}` (try --help)")),
         }
     }
-    if opts.migrate_baseline && opts.baseline.is_none() {
-        return Err("--migrate-baseline needs --baseline FILE to rewrite".to_string());
-    }
     Ok(opts)
 }
 
 fn main() -> ExitCode {
-    let opts = match parse_args() {
-        Ok(o) => o,
+    match parse_args().and_then(run) {
+        Ok(code) => code,
         Err(e) => {
             eprintln!("{e}");
-            return ExitCode::from(2);
+            ExitCode::from(2)
         }
-    };
+    }
+}
+
+/// Runs one invocation; `Err` is a usage or IO error (exit code 2).
+fn run(opts: Options) -> Result<ExitCode, String> {
     if let Some(rule) = &opts.explain {
-        return match explain::explain(rule) {
-            Some(text) => {
-                print!("{text}");
-                ExitCode::SUCCESS
-            }
-            None => {
-                eprintln!("unknown rule `{rule}` — the catalogue:");
-                for d in &explain::DOCS {
-                    eprintln!("  {}", d.name);
-                }
-                ExitCode::from(2)
-            }
-        };
+        let text = explain::explain(rule).ok_or_else(|| {
+            let names: Vec<&str> = explain::DOCS.iter().map(|d| d.name).collect();
+            format!(
+                "unknown rule `{rule}` — the catalogue:\n  {}",
+                names.join("\n  ")
+            )
+        })?;
+        print!("{text}");
+        return Ok(ExitCode::SUCCESS);
     }
     if opts.list_rules {
         for d in &explain::DOCS {
             println!("{}  —  {}", d.name, d.scope);
         }
-        return ExitCode::SUCCESS;
+        return Ok(ExitCode::SUCCESS);
     }
     let cwd = std::env::current_dir().unwrap_or_else(|_| PathBuf::from("."));
-    let root = match opts.root.or_else(|| find_workspace_root(&cwd)) {
-        Some(r) => r,
-        None => {
-            eprintln!("error: no workspace root found above {}", cwd.display());
-            return ExitCode::from(2);
-        }
-    };
+    let root = opts
+        .root
+        .or_else(|| find_workspace_root(&cwd))
+        .ok_or_else(|| format!("error: no workspace root found above {}", cwd.display()))?;
     let started = Instant::now();
-    let mut files = match collect_sources(&root) {
-        Ok(f) => f,
-        Err(e) => {
-            eprintln!("error: {e}");
-            return ExitCode::from(2);
-        }
-    };
-    if opts.self_only {
-        files.retain(|(p, _)| p.starts_with("crates/check/"));
-    }
+    let files = collect_sources(&root).map_err(|e| format!("error: {e}"))?;
     let n_files = files.len();
-    let mut findings = check_files(&files);
+    let findings = check_files(&files);
     let elapsed_ms = started.elapsed().as_millis() as u64;
-
-    if let Some(path) = &opts.write_baseline {
-        if let Err(e) = std::fs::write(path, to_json(&findings)) {
-            eprintln!("error: writing baseline: {e}");
-            return ExitCode::from(2);
-        }
-        eprintln!(
-            "wrote baseline with {} finding(s) to {}",
-            findings.len(),
-            path.display()
-        );
-        return ExitCode::SUCCESS;
-    }
-    if let Some(path) = &opts.baseline {
-        let entries = match std::fs::read_to_string(path) {
-            Ok(text) => parse_baseline_entries(&text),
-            Err(e) => {
-                eprintln!("error: reading baseline {}: {e}", path.display());
-                return ExitCode::from(2);
-            }
-        };
-        if opts.migrate_baseline {
-            // rewrite the baseline as the *current* findings it parks —
-            // to_json carries the line hash, so the new file is hash-keyed
-            // and stale entries (fixed debt) drop out
-            let kept = apply_baseline_entries(findings.clone(), &entries);
-            let parked: Vec<Finding> = findings
-                .iter()
-                .filter(|f| !kept.contains(f))
-                .cloned()
-                .collect();
-            if let Err(e) = std::fs::write(path, to_json(&parked)) {
-                eprintln!("error: rewriting baseline: {e}");
-                return ExitCode::from(2);
-            }
-            eprintln!(
-                "migrated baseline {}: {} entr{} → {} hash-keyed finding(s)",
-                path.display(),
-                entries.len(),
-                if entries.len() == 1 { "y" } else { "ies" },
-                parked.len()
-            );
-            return ExitCode::SUCCESS;
-        }
-        findings = apply_baseline_entries(findings, &entries);
-    }
 
     let within_budget = opts.budget_ms.map(|b| elapsed_ms <= b).unwrap_or(true);
     if let Some(path) = &opts.timing {
@@ -202,10 +109,7 @@ fn main() -> ExitCode {
             .field("within_budget", within_budget)
             .build()
             .encode_pretty();
-        if let Err(e) = std::fs::write(path, doc) {
-            eprintln!("error: writing timing report: {e}");
-            return ExitCode::from(2);
-        }
+        std::fs::write(path, doc).map_err(|e| format!("error: writing timing report: {e}"))?;
     }
 
     if opts.json {
@@ -226,11 +130,11 @@ fn main() -> ExitCode {
             "blob-check: over budget: {elapsed_ms} ms > {} ms",
             opts.budget_ms.unwrap_or(0)
         );
-        return ExitCode::FAILURE;
+        return Ok(ExitCode::FAILURE);
     }
-    if findings.is_empty() {
+    Ok(if findings.is_empty() {
         ExitCode::SUCCESS
     } else {
         ExitCode::FAILURE
-    }
+    })
 }

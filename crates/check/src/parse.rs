@@ -46,16 +46,7 @@ const BINARY_OPS: [&str; 28] = [
 
 /// Drops comment tokens, leaving the code stream the parser consumes.
 pub fn code_tokens(tokens: &[Token]) -> Vec<Token> {
-    tokens
-        .iter()
-        .filter(|t| {
-            !matches!(
-                t.kind,
-                TokenKind::LineComment | TokenKind::BlockComment | TokenKind::DocComment
-            )
-        })
-        .cloned()
-        .collect()
+    tokens.iter().filter(|t| !t.is_comment()).cloned().collect()
 }
 
 /// Parses a comment-filtered token stream into a [`File`].

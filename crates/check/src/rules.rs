@@ -1,84 +1,59 @@
-//! The lint rules and the checking driver.
+//! The per-file rules.
 //!
-//! Checking is layered. Every file is parsed once into a [`FileUnit`]
-//! (token stream + AST + `#[cfg(test)]` regions); the classic lexical
-//! rules run straight off the tokens, while the semantic rules
-//! (`contract-guard`, `atomics-ordering`, `lock-discipline`, `balance`,
-//! `drop-on-path` — see [`crate::analyses`]) consume the AST and the
-//! per-function CFGs built from it. Per-file work is independent and
-//! parallelizable ([`check_unit_local`]); the workspace-wide passes and
-//! the suppression/baseline bookkeeping happen once at the end
-//! ([`check_workspace_wide`], [`finalize`]).
+//! Every file is lexed and parsed once into a [`FileUnit`] (full token
+//! stream, comment-free code tokens, AST, `#[cfg(test)]` regions). The
+//! rules that are a token sequence inside a path scope are rows of
+//! [`TOKEN_RULES`], matched in one pass over the code tokens; the checks
+//! that need more than a sequence (`no-float-eq`, `no-raw-error-body`,
+//! `pub-item-docs`, `no-untagged-precision`, the `# Safety` half of
+//! `no-unchecked-simd`) are code below, and the semantic rules live in
+//! [`crate::analyses`]. [`check_unit`] runs one file's share;
+//! [`finalize`] applies suppressions once every finding is in.
 
 use crate::analyses;
 use crate::ast::File;
 use crate::explain::DOCS;
 use crate::lexer::{lex, Token, TokenKind};
+use Tok::{Any, Is, Prefix};
 
-/// A rule violation (or a problem with a suppression comment).
-#[derive(Debug, Clone, PartialEq, Eq)]
+/// A rule violation (or a problem with a suppression comment). Findings
+/// order by `(path, line, rule, message)`, the order they are reported in.
+#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord)]
 pub struct Finding {
-    /// Rule identifier, e.g. `no-unwrap-in-lib`.
-    pub rule: &'static str,
     /// Repo-relative path of the offending file.
     pub path: String,
     /// 1-based line of the violation.
     pub line: usize,
+    /// Rule identifier, e.g. `no-unwrap-in-lib`.
+    pub rule: &'static str,
     /// Human-readable description.
     pub message: String,
-    /// FNV-1a hash of the trimmed offending line's text (hex). Baselines
-    /// key on this so findings survive pure line-number drift. Filled by
-    /// [`finalize`]; empty until then.
-    pub line_hash: String,
 }
 
 impl Finding {
-    /// Builds a finding with an empty [`Finding::line_hash`] (the driver
-    /// fills it from the source text).
+    /// Builds a finding.
     pub fn new(rule: &'static str, path: &str, line: usize, message: impl Into<String>) -> Finding {
         Finding {
             rule,
             path: path.to_string(),
             line,
             message: message.into(),
-            line_hash: String::new(),
         }
     }
 }
 
-/// All rule identifiers, for `--list-rules` and suppression validation.
-/// Derived from the documentation catalogue ([`crate::explain::DOCS`]) so
-/// a rule cannot exist undocumented.
-pub const RULES: [&str; 17] = [
-    DOCS[0].name,
-    DOCS[1].name,
-    DOCS[2].name,
-    DOCS[3].name,
-    DOCS[4].name,
-    DOCS[5].name,
-    DOCS[6].name,
-    DOCS[7].name,
-    DOCS[8].name,
-    DOCS[9].name,
-    DOCS[10].name,
-    DOCS[11].name,
-    DOCS[12].name,
-    DOCS[13].name,
-    DOCS[14].name,
-    DOCS[15].name,
-    DOCS[16].name,
-];
-
-/// FNV-1a 64-bit hash of a line's trimmed text, rendered as 16 hex
-/// digits. The baseline format keys findings on this.
-pub fn line_hash(line_text: &str) -> String {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for b in line_text.trim().bytes() {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
+/// All rule identifiers, for suppression validation, in the order of the
+/// documentation catalogue ([`crate::explain::DOCS`]) they are read from,
+/// so a rule cannot exist undocumented.
+pub const RULES: [&str; DOCS.len()] = {
+    let mut names = [""; DOCS.len()];
+    let mut i = 0;
+    while i < DOCS.len() {
+        names[i] = DOCS[i].name;
+        i += 1;
     }
-    format!("{h:016x}")
-}
+    names
+};
 
 /// What kind of code a file holds, derived from its repo-relative path.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -113,116 +88,112 @@ pub fn classify(path: &str) -> FileClass {
     }
 }
 
-/// One file, parsed once and shared by every rule: the raw text (for
-/// baseline hashes), the full token stream (comments included), the AST,
-/// the path classification, and the `#[cfg(test)]` line regions.
+/// One file, lexed and parsed once and shared by every rule.
 #[derive(Debug)]
 pub struct FileUnit {
     /// Repo-relative path.
     pub path: String,
     /// Path classification.
     pub class: FileClass,
-    /// Full token stream, comments included.
+    /// Full token stream, comments included (doc comments and
+    /// suppressions live here).
     pub tokens: Vec<Token>,
-    /// Parsed AST (over the comment-free token stream).
+    /// The comment-free token stream: what the parser, the token rules
+    /// and the symbol table read.
+    pub code: Vec<Token>,
+    /// Parsed AST (over [`FileUnit::code`]).
     pub ast: File,
-    /// Line ranges covered by `#[cfg(test)]` items.
+    /// Line ranges covered by test-only items (`#[cfg(test)]`,
+    /// `#[cfg(all(test, …))]`).
     pub test_regions: Vec<(usize, usize)>,
-    /// The source text.
-    pub text: String,
 }
 
 impl FileUnit {
     /// Lexes, classifies, and parses one file.
     pub fn build(path: &str, text: &str) -> FileUnit {
         let tokens = lex(text);
-        let test_regions = cfg_test_regions(&tokens);
-        let ast = crate::parse::parse_file(&crate::parse::code_tokens(&tokens));
+        let code = crate::parse::code_tokens(&tokens);
         FileUnit {
             path: path.to_string(),
             class: classify(path),
-            ast,
-            test_regions,
+            ast: crate::parse::parse_file(&code),
+            test_regions: cfg_test_regions(&code),
             tokens,
-            text: text.to_string(),
+            code,
         }
     }
 }
 
-/// Byte-offset-free region of lines `[start, end]` covered by a
-/// `#[cfg(test)]` item (the brace-matched block following the attribute).
-fn cfg_test_regions(tokens: &[Token]) -> Vec<(usize, usize)> {
-    let mut regions = Vec::new();
-    let code: Vec<(usize, &Token)> = tokens
-        .iter()
-        .enumerate()
-        .filter(|(_, t)| !is_comment(t))
-        .collect();
-    let mut i = 0;
-    while i + 1 < code.len() {
-        let (_, t) = code[i];
-        if t.text == "#" && code[i + 1].1.text == "[" {
-            // scan the attribute tokens to its closing `]`
-            let mut j = i + 2;
-            let mut depth = 1;
-            let mut is_cfg = false;
-            let mut mentions_test = false;
-            while j < code.len() && depth > 0 {
-                let txt = code[j].1.text.as_str();
-                match txt {
-                    "[" => depth += 1,
-                    "]" => depth -= 1,
-                    "cfg" if j == i + 2 => is_cfg = true,
-                    "test" => mentions_test = true,
+/// True when a `#[…]` attribute's inner tokens make the item test-only:
+/// `cfg(test)`, or `cfg(all(…))` with `test` as one of `all`'s direct
+/// arguments. `cfg(not(test))` and `cfg(any(test, …))` code also builds
+/// outside tests, so it is not a test region.
+fn is_test_only_cfg(attr: &[Token]) -> bool {
+    let texts: Vec<&str> = attr.iter().map(|t| t.text.as_str()).collect();
+    match texts.as_slice() {
+        ["cfg", "(", "test", ")"] => true,
+        ["cfg", "(", "all", "(", args @ ..] => {
+            let mut depth = 0usize;
+            args.iter().any(|&t| {
+                match t {
+                    "(" => depth += 1,
+                    ")" => depth = depth.saturating_sub(1),
                     _ => {}
                 }
-                j += 1;
-            }
-            if is_cfg && mentions_test {
-                // brace-match the item body that follows
-                while j < code.len() && code[j].1.text != "{" {
-                    // a `;`-terminated item (e.g. `#[cfg(test)] use …;`) has
-                    // no body — bail out of the region search
-                    if code[j].1.text == ";" {
-                        break;
-                    }
-                    j += 1;
-                }
-                if j < code.len() && code[j].1.text == "{" {
-                    let start_line = t.line;
-                    let mut braces = 1;
-                    let mut k = j + 1;
-                    while k < code.len() && braces > 0 {
-                        match code[k].1.text.as_str() {
-                            "{" => braces += 1,
-                            "}" => braces -= 1,
-                            _ => {}
-                        }
-                        k += 1;
-                    }
-                    let end_line = code[k.saturating_sub(1).min(code.len() - 1)].1.line;
-                    regions.push((start_line, end_line));
-                    i = k;
-                    continue;
-                }
-            }
-            i = j;
+                depth == 0 && t == "test"
+            })
+        }
+        _ => false,
+    }
+}
+
+/// Line regions `[start, end]` of test-only items (see
+/// [`is_test_only_cfg`]): from the attribute to the brace-matched end of
+/// the item body that follows it.
+fn cfg_test_regions(code: &[Token]) -> Vec<(usize, usize)> {
+    let mut regions = Vec::new();
+    let mut i = 0;
+    while i + 1 < code.len() {
+        if code[i].text != "#" || code[i + 1].text != "[" {
+            i += 1;
             continue;
         }
-        i += 1;
+        // scan the attribute tokens to its closing `]`
+        let mut j = i + 2;
+        let mut depth = 1;
+        while j < code.len() && depth > 0 {
+            match code[j].text.as_str() {
+                "[" => depth += 1,
+                "]" => depth -= 1,
+                _ => {}
+            }
+            j += 1;
+        }
+        if is_test_only_cfg(&code[i + 2..(j - 1).max(i + 2)]) {
+            // brace-match the item body that follows; a `;`-terminated
+            // item (e.g. `#[cfg(test)] use …;`) has no body
+            while j < code.len() && code[j].text != "{" && code[j].text != ";" {
+                j += 1;
+            }
+            if j < code.len() && code[j].text == "{" {
+                let mut braces = 1;
+                let mut k = j + 1;
+                while k < code.len() && braces > 0 {
+                    match code[k].text.as_str() {
+                        "{" => braces += 1,
+                        "}" => braces -= 1,
+                        _ => {}
+                    }
+                    k += 1;
+                }
+                regions.push((code[i].line, code[k - 1].line));
+                i = k;
+                continue;
+            }
+        }
+        i = j;
     }
     regions
-}
-
-fn in_regions(line: usize, regions: &[(usize, usize)]) -> bool {
-    regions.iter().any(|&(a, b)| line >= a && line <= b)
-}
-
-fn is_comment(t: &Token) -> bool {
-    matches!(
-        t.kind,
-        TokenKind::LineComment | TokenKind::BlockComment | TokenKind::DocComment
-    )
 }
 
 /// A parsed suppression comment (see [`suppressions`] for the syntax).
@@ -245,7 +216,7 @@ struct Suppression {
 /// suppression is itself reported (rule `suppression`).
 fn suppressions(tokens: &[Token]) -> Vec<Suppression> {
     let mut out = Vec::new();
-    for t in tokens.iter().filter(|t| is_comment(t)) {
+    for t in tokens.iter().filter(|t| t.is_comment()) {
         let Some(at) = t.text.find("blob-check:") else {
             continue;
         };
@@ -301,28 +272,27 @@ pub const GUARDED_FILES: [&str; 4] = [
     "crates/blas/src/emul.rs",
 ];
 
-/// Builds the [`Context`] by fixpoint over the guarded kernel files: a
-/// function is *guarding* if it directly calls `contract::…`/`check_…`, or
-/// if every path to its data goes through a call to another guarding
-/// function (approximated as: it calls one before any slice index).
-pub fn build_context(files: &[(String, String)]) -> Context {
-    let mut facts = Vec::new();
-    for (path, text) in files {
-        if !GUARDED_FILES.contains(&path.as_str()) {
-            continue;
-        }
-        let u = FileUnit::build(path, text);
-        facts.extend(analyses::contract::fn_facts(&u));
-    }
+/// Builds the [`Context`] by fixpoint over the guarded kernel files among
+/// `units`: a function is *guarding* if it directly calls
+/// `contract::…`/`check_…`, or if it calls another guarding function
+/// before any slice index.
+pub fn guard_context(units: &[FileUnit]) -> Context {
+    let facts: Vec<_> = units
+        .iter()
+        .filter(|u| GUARDED_FILES.contains(&u.path.as_str()))
+        .flat_map(analyses::contract::fn_facts)
+        .collect();
     analyses::contract::fixpoint(&facts)
 }
 
-/// Runs the per-file rules over one pre-built unit: the lexical rules,
-/// `contract-guard`, and the per-function CFG analyses (`balance`,
-/// `drop-on-path`). Safe to call from worker threads; suppression
-/// filtering and hashing happen later in [`finalize`].
-pub fn check_unit_local(u: &FileUnit, ctx: &Context, syms: &analyses::Symbols) -> Vec<Finding> {
-    let mut findings = lexical_rules(u);
+/// Runs the per-file rules over one unit: the token rules, the checks
+/// below, `contract-guard`, and the per-function CFG analyses (`balance`,
+/// `drop-on-path`). Safe to call from worker threads; suppressions are
+/// applied later in [`finalize`].
+pub fn check_unit(u: &FileUnit, ctx: &Context, syms: &analyses::Symbols) -> Vec<Finding> {
+    let mut findings = Vec::new();
+    token_rules(u, &mut findings);
+    code_rules(u, &mut findings);
     if GUARDED_FILES.contains(&u.path.as_str()) {
         findings.extend(analyses::contract::check(u, ctx));
     }
@@ -332,17 +302,8 @@ pub fn check_unit_local(u: &FileUnit, ctx: &Context, syms: &analyses::Symbols) -
     findings
 }
 
-/// The workspace-wide passes that need every file at once: atomics
-/// ordering groups accesses across files, and the lock-order graph spans
-/// the whole workspace.
-pub fn check_workspace_wide(units: &[FileUnit], syms: &analyses::Symbols) -> Vec<Finding> {
-    let mut findings = analyses::atomics::check(units, syms);
-    findings.extend(analyses::locks::check(units, syms));
-    findings
-}
-
-/// Suppression hygiene + filtering, line-hash fill, and the final sort
-/// by `(path, line, rule)`.
+/// Suppression hygiene and filtering, then the final sort with
+/// duplicates removed.
 pub fn finalize(units: &[FileUnit], mut findings: Vec<Finding>) -> Vec<Finding> {
     for u in units {
         let sups = suppressions(&u.tokens);
@@ -376,152 +337,301 @@ pub fn finalize(units: &[FileUnit], mut findings: Vec<Finding>) -> Vec<Finding> 
                         && (s.line == f.line || s.line + 1 == f.line)
                 })
         });
-        let lines: Vec<&str> = u.text.lines().collect();
-        for f in findings.iter_mut().filter(|f| f.path == u.path) {
-            f.line_hash = line_hash(lines.get(f.line.wrapping_sub(1)).unwrap_or(&""));
-        }
     }
-    findings.sort_by(|a, b| {
-        (a.path.as_str(), a.line, a.rule, a.message.as_str()).cmp(&(
-            b.path.as_str(),
-            b.line,
-            b.rule,
-            b.message.as_str(),
-        ))
-    });
+    findings.sort();
     findings.dedup();
     findings
 }
 
-/// Runs everything over a set of pre-built units, sequentially. The
-/// parallel driver in [`crate::check_files`] composes the same pieces.
-pub fn check_units(units: &[FileUnit], ctx: &Context) -> Vec<Finding> {
-    let syms = analyses::Symbols::build(units);
-    let mut findings = Vec::new();
-    for u in units {
-        findings.extend(check_unit_local(u, ctx, &syms));
+/// One element of a [`TokenRule`] pattern, matched on a token's text.
+enum Tok {
+    /// Exactly this text.
+    Is(&'static str),
+    /// Any of these texts.
+    Any(&'static [&'static str]),
+    /// Text starting with any of these prefixes.
+    Prefix(&'static [&'static str]),
+}
+
+impl Tok {
+    fn matches(&self, text: &str) -> bool {
+        match self {
+            Is(s) => text == *s,
+            Any(set) => set.contains(&text),
+            Prefix(set) => set.iter().any(|p| text.starts_with(p)),
+        }
     }
-    findings.extend(check_workspace_wide(units, &syms));
-    finalize(units, findings)
 }
 
-/// Runs every rule over one file and returns unsuppressed findings plus
-/// findings about the suppressions themselves. Single-file convenience
-/// driver: the workspace-wide passes see only this file.
-pub fn check_file(path: &str, text: &str, ctx: &Context) -> Vec<Finding> {
-    let units = [FileUnit::build(path, text)];
-    let syms = analyses::Symbols::build(&units);
-    let mut findings = check_unit_local(&units[0], ctx, &syms);
-    findings.extend(check_workspace_wide(&units, &syms));
-    finalize(&units, findings)
+/// A rule that is a token sequence inside a path scope: it fires where
+/// the code tokens match `pattern`, in a file for which `scope` holds,
+/// and is reported on `pattern[at]`, which must match an identifier.
+struct TokenRule {
+    rule: &'static str,
+    scope: fn(&FileUnit) -> bool,
+    /// Skip matches inside test-only regions.
+    skip_tests: bool,
+    pattern: &'static [Tok],
+    at: usize,
+    /// The finding's message; `{}` stands for the reported identifier.
+    message: &'static str,
 }
 
-/// The original token-level rules (everything that needs no AST).
-fn lexical_rules(u: &FileUnit) -> Vec<Finding> {
-    let path = u.path.as_str();
-    let class = &u.class;
-    let test_regions = &u.test_regions;
-    let tokens = &u.tokens;
-    let mut findings = Vec::new();
+/// The two sanctioned homes for explicit-SIMD code. `no-unsafe` skips
+/// them (the micro-kernels are intrinsics behind runtime feature
+/// detection); the `# Safety` half of `no-unchecked-simd` polices them.
+const SIMD_HOMES: [&str; 2] = ["crates/blas/src/microkernel.rs", "crates/blas/src/pack.rs"];
 
-    let code: Vec<&Token> = tokens.iter().filter(|t| !is_comment(t)).collect();
+const SIMD_SURFACE: &str = "explicit-SIMD surface `{}` outside the sanctioned micro-kernel \
+                            files — intrinsics belong behind the runtime feature-detection \
+                            dispatch in `crates/blas/src/microkernel.rs`";
+const DIRECT_KERNEL: &str = "direct `{}(…)` kernel call in dispatch code — route through the \
+                             executor (`exec.rs`) so the decision, history and residency \
+                             accounting stay consistent";
 
-    // The two sanctioned homes for explicit-SIMD code. `no-unsafe` skips
-    // them (the micro-kernels are intrinsics behind runtime feature
-    // detection); `no-unchecked-simd` polices them instead.
-    const SIMD_HOMES: [&str; 2] = ["crates/blas/src/microkernel.rs", "crates/blas/src/pack.rs"];
-    let simd_home = SIMD_HOMES.contains(&path);
+/// Every token rule; see [`crate::explain::DOCS`] for each rule's
+/// rationale.
+const TOKEN_RULES: [TokenRule; 13] = [
+    TokenRule {
+        rule: "no-unsafe",
+        scope: |u| !SIMD_HOMES.contains(&u.path.as_str()),
+        skip_tests: false,
+        pattern: &[Is("unsafe")],
+        at: 0,
+        message: "`unsafe` is forbidden in this workspace",
+    },
+    // intrinsics stay behind the runtime feature-detection dispatch the
+    // micro-kernel module owns: outside it, a `core::arch`/`std::arch`
+    // path, a `target_feature` attribute or an `_mm…`/`__m…` identifier
+    // can execute an illegal instruction on older hosts
+    TokenRule {
+        rule: "no-unchecked-simd",
+        scope: |u| !SIMD_HOMES.contains(&u.path.as_str()),
+        skip_tests: false,
+        pattern: &[Any(&["core", "std"]), Is("::"), Is("arch")],
+        at: 2,
+        message: SIMD_SURFACE,
+    },
+    TokenRule {
+        rule: "no-unchecked-simd",
+        scope: |u| !SIMD_HOMES.contains(&u.path.as_str()),
+        skip_tests: false,
+        pattern: &[Is("target_feature")],
+        at: 0,
+        message: SIMD_SURFACE,
+    },
+    TokenRule {
+        rule: "no-unchecked-simd",
+        scope: |u| !SIMD_HOMES.contains(&u.path.as_str()),
+        skip_tests: false,
+        pattern: &[Prefix(&["_mm", "__m"])],
+        at: 0,
+        message: SIMD_SURFACE,
+    },
+    // `blob_blas::pool` is the one home for scoped threads (unit tests
+    // exercise the pool API, so tests are included)
+    TokenRule {
+        rule: "no-adhoc-scope",
+        scope: |u| u.path.starts_with("crates/blas/src/") && u.path != "crates/blas/src/pool.rs",
+        skip_tests: false,
+        pattern: &[Is("thread"), Is("::"), Is("scope"), Is("(")],
+        at: 2,
+        message: "`std::thread::scope` outside `pool.rs` — dispatch through \
+                  `blob_blas::pool` (`run_scoped`/`parallel_for`) instead",
+    },
+    TokenRule {
+        rule: "no-unwrap-in-lib",
+        scope: |u| u.class.is_lib,
+        skip_tests: true,
+        pattern: &[Is("."), Any(&["unwrap", "expect"]), Is("(")],
+        at: 1,
+        message: "`.{}()` in library code — return a typed error instead",
+    },
+    TokenRule {
+        rule: "no-unwrap-in-lib",
+        scope: |u| u.class.is_lib,
+        skip_tests: true,
+        pattern: &[Is("panic"), Is("!")],
+        at: 0,
+        message: "`panic!` in library code — return a typed error instead",
+    },
+    // the serve and cli *binaries* (`main.rs`, `src/bin/…`), which
+    // `no-unwrap-in-lib` skips; the two scopes are disjoint, so a site is
+    // never reported twice
+    TokenRule {
+        rule: "no-unwrap-in-serve",
+        scope: serve_or_cli_binary,
+        skip_tests: true,
+        pattern: &[Is("."), Any(&["unwrap", "expect"]), Is("(")],
+        at: 1,
+        message: "`.{}()` in service/driver code — report the error and exit cleanly instead",
+    },
+    TokenRule {
+        rule: "no-unwrap-in-serve",
+        scope: serve_or_cli_binary,
+        skip_tests: true,
+        pattern: &[Is("panic"), Is("!")],
+        at: 0,
+        message: "`panic!` in service/driver code — report the error and exit cleanly instead",
+    },
+    // every kernel invocation in the dispatch crate is a decision made in
+    // exec.rs; `BlasCall::gemm(…)` shape constructors match neither row
+    TokenRule {
+        rule: "no-direct-kernel-in-dispatch",
+        scope: dispatch_outside_exec,
+        skip_tests: true,
+        pattern: &[
+            Any(&[
+                "gemm_blocked",
+                "gemm_blocked_with",
+                "gemm_parallel",
+                "gemv_parallel",
+                "gemm_ref",
+                "gemv_ref",
+            ]),
+            Is("("),
+        ],
+        at: 0,
+        message: DIRECT_KERNEL,
+    },
+    TokenRule {
+        rule: "no-direct-kernel-in-dispatch",
+        scope: dispatch_outside_exec,
+        skip_tests: true,
+        pattern: &[Is("blob_blas"), Is("::"), Any(&["gemm", "gemv"]), Is("(")],
+        at: 2,
+        message: DIRECT_KERNEL,
+    },
+    // the accept loop's `sync_channel` and the fabric pool's explicit cap
+    // are the sanctioned shapes: overload becomes back-pressure
+    TokenRule {
+        rule: "no-unbounded-queue",
+        scope: |u| u.path.starts_with("crates/serve/src/"),
+        skip_tests: true,
+        pattern: &[Is("mpsc"), Is("::"), Is("channel"), Is("(")],
+        at: 2,
+        message: "`mpsc::channel()` is unbounded — use `mpsc::sync_channel(cap)` \
+                  so overload becomes back-pressure, not memory growth",
+    },
+    TokenRule {
+        rule: "no-unbounded-queue",
+        scope: |u| u.path.starts_with("crates/serve/src/"),
+        skip_tests: true,
+        pattern: &[Is("VecDeque"), Is("::"), Is("new"), Is("(")],
+        at: 2,
+        message: "`VecDeque::new()` is unbounded — use `with_capacity(cap)` and \
+                  enforce the cap at the push site",
+    },
+];
 
-    // --- no-unsafe: applies everywhere else, tests included --------------
-    if !simd_home {
-        for t in &code {
-            if t.kind == TokenKind::Ident && t.text == "unsafe" {
+fn serve_or_cli_binary(u: &FileUnit) -> bool {
+    !u.class.is_lib
+        && !u.class.is_test_like
+        && (u.path.starts_with("crates/serve/") || u.path.starts_with("crates/cli/"))
+}
+
+fn dispatch_outside_exec(u: &FileUnit) -> bool {
+    u.path.starts_with("crates/dispatch/src/") && u.path != "crates/dispatch/src/exec.rs"
+}
+
+/// Matches every in-scope [`TOKEN_RULES`] row in one pass over the code
+/// tokens.
+fn token_rules(u: &FileUnit, findings: &mut Vec<Finding>) {
+    let rows: Vec<&TokenRule> = TOKEN_RULES.iter().filter(|r| (r.scope)(u)).collect();
+    let code = &u.code;
+    for (i, t) in code.iter().enumerate() {
+        if t.kind != TokenKind::Ident {
+            continue;
+        }
+        for r in &rows {
+            let window = i
+                .checked_sub(r.at)
+                .and_then(|s| code.get(s..s + r.pattern.len()));
+            let hit = window
+                .is_some_and(|w| w.iter().zip(r.pattern).all(|(c, p)| p.matches(&c.text)))
+                && !(r.skip_tests && analyses::in_test_region(&u.test_regions, t.line));
+            if hit {
                 findings.push(Finding::new(
-                    "no-unsafe",
-                    path,
+                    r.rule,
+                    &u.path,
                     t.line,
-                    "`unsafe` is forbidden in this workspace",
+                    r.message.replace("{}", &t.text),
                 ));
             }
         }
     }
+}
 
-    // --- no-unchecked-simd: intrinsics stay behind the dispatch gate -----
-    // Outside the sanctioned files, any explicit-SIMD surface — a
-    // `core::arch`/`std::arch` path, a `target_feature` attribute, or a
-    // raw `_mm…`/`__m…` intrinsic identifier — dodges the runtime
-    // feature-detection dispatch the micro-kernel module owns and can
-    // execute an illegal instruction on older hosts. Inside them, every
-    // `unsafe fn` must carry a `# Safety` doc section stating the contract
-    // the dispatch layer upholds.
-    if simd_home {
+/// The doc comments directly above the item at `tokens[i]`: walks back
+/// over visibility qualifiers (`pub`, `pub(crate)`, …), `#[…]` attributes
+/// and plain comments, and stops at any other token.
+fn docs_above(tokens: &[Token], i: usize) -> Vec<&str> {
+    let mut b = i;
+    while b > 0 {
+        let pt = &tokens[b - 1];
+        let vis = (pt.kind == TokenKind::Ident
+            && matches!(pt.text.as_str(), "pub" | "crate" | "super" | "self" | "in"))
+            || pt.text == "("
+            || pt.text == ")";
+        if !vis {
+            break;
+        }
+        b -= 1;
+    }
+    let mut docs = Vec::new();
+    while b > 0 {
+        b -= 1;
+        let bt = &tokens[b];
+        match bt.kind {
+            TokenKind::DocComment => docs.push(bt.text.as_str()),
+            TokenKind::LineComment | TokenKind::BlockComment => {}
+            _ => {
+                if bt.text == "]" {
+                    // skip back over one `#[…]` attribute
+                    let mut depth = 1;
+                    while b > 0 && depth > 0 {
+                        b -= 1;
+                        match tokens[b].text.as_str() {
+                            "]" => depth += 1,
+                            "[" => depth -= 1,
+                            _ => {}
+                        }
+                    }
+                    if b > 0 && tokens[b - 1].text == "#" {
+                        b -= 1;
+                        continue;
+                    }
+                }
+                break;
+            }
+        }
+    }
+    docs
+}
+
+/// The checks that are more than a token sequence.
+fn code_rules(u: &FileUnit, findings: &mut Vec<Finding>) {
+    let path = u.path.as_str();
+    let class = &u.class;
+    let tokens = &u.tokens;
+    let code = &u.code;
+    let in_test = |line| analyses::in_test_region(&u.test_regions, line);
+
+    // --- no-unchecked-simd, inside the sanctioned files: every `unsafe fn`
+    // carries a `# Safety` doc section stating the contract the dispatch
+    // layer upholds
+    if SIMD_HOMES.contains(&path) {
         for (i, t) in tokens.iter().enumerate() {
             if t.kind != TokenKind::Ident || t.text != "unsafe" {
                 continue;
             }
             // only `unsafe fn` declarations, not unsafe blocks
-            let mut j = i + 1;
-            while j < tokens.len() && is_comment(&tokens[j]) {
-                j += 1;
-            }
-            if tokens.get(j).map(|t| t.text != "fn").unwrap_or(true) {
+            let mut rest = tokens[i + 1..].iter().filter(|t| !t.is_comment());
+            if rest.next().map(|t| t.text != "fn").unwrap_or(true) {
                 continue;
             }
-            // hop over visibility qualifiers (`pub`, `pub(crate)`, …) to
-            // the docs/attributes above
-            let mut b = i;
-            while b > 0 {
-                let pt = &tokens[b - 1];
-                let vis = (pt.kind == TokenKind::Ident
-                    && matches!(pt.text.as_str(), "pub" | "crate" | "super" | "self" | "in"))
-                    || pt.text == "("
-                    || pt.text == ")";
-                if vis {
-                    b -= 1;
-                } else {
-                    break;
-                }
-            }
-            // walk backwards over attributes and plain comments, scanning
-            // every contiguous doc-comment line for a `# Safety` section
-            let mut documented = false;
-            while b > 0 {
-                b -= 1;
-                let bt = &tokens[b];
-                match bt.kind {
-                    TokenKind::DocComment => {
-                        if bt.text.contains("# Safety") {
-                            documented = true;
-                            break;
-                        }
-                    }
-                    TokenKind::LineComment | TokenKind::BlockComment => {}
-                    _ => {
-                        if bt.text == "]" {
-                            // skip back over one `#[…]` attribute
-                            let mut depth = 1;
-                            while b > 0 && depth > 0 {
-                                b -= 1;
-                                match tokens[b].text.as_str() {
-                                    "]" => depth += 1,
-                                    "[" => depth -= 1,
-                                    _ => {}
-                                }
-                            }
-                            if b > 0 && tokens[b - 1].text == "#" {
-                                b -= 1;
-                                continue;
-                            }
-                        }
-                        break;
-                    }
-                }
-            }
-            let name = tokens
-                .get(j + 1)
-                .map(|t| t.text.clone())
-                .unwrap_or_default();
-            if !documented {
+            if !docs_above(tokens, i).iter().any(|d| d.contains("# Safety")) {
+                let name = rest.next().map(|t| t.text.as_str()).unwrap_or_default();
                 findings.push(Finding::new(
                     "no-unchecked-simd",
                     path,
@@ -533,117 +643,6 @@ fn lexical_rules(u: &FileUnit) -> Vec<Finding> {
                 ));
             }
         }
-    } else {
-        for (i, t) in code.iter().enumerate() {
-            if t.kind != TokenKind::Ident {
-                continue;
-            }
-            let arch_path = t.text == "arch"
-                && i >= 2
-                && code[i - 1].text == "::"
-                && (code[i - 2].text == "core" || code[i - 2].text == "std");
-            let feature_attr = t.text == "target_feature";
-            let intrinsic = t.text.starts_with("_mm") || t.text.starts_with("__m");
-            if arch_path || feature_attr || intrinsic {
-                findings.push(Finding::new(
-                    "no-unchecked-simd",
-                    path,
-                    t.line,
-                    format!(
-                        "explicit-SIMD surface `{}` outside the sanctioned micro-kernel \
-                         files — intrinsics belong behind the runtime feature-detection \
-                         dispatch in `crates/blas/src/microkernel.rs`",
-                        t.text
-                    ),
-                ));
-            }
-        }
-    }
-
-    // --- no-adhoc-scope: kernel code dispatches through pool.rs ----------
-    // `std::thread::scope` is the one lifetime-erasure primitive the
-    // workspace allows, and `blob_blas::pool` is its sole home: every other
-    // call site would reintroduce per-call spawns on the hot path and dodge
-    // the pool's crossover/panic/perturbation machinery. Fires on the token
-    // sequence `thread :: scope (` anywhere in `crates/blas/src/` except
-    // `pool.rs` itself (tests included — unit tests exercise the pool API).
-    if path.starts_with("crates/blas/src/") && path != "crates/blas/src/pool.rs" {
-        for (i, t) in code.iter().enumerate() {
-            if t.kind == TokenKind::Ident
-                && t.text == "scope"
-                && i >= 2
-                && code[i - 1].text == "::"
-                && code[i - 2].text == "thread"
-                && code.get(i + 1).map(|t| t.text == "(").unwrap_or(false)
-            {
-                findings.push(Finding::new(
-                    "no-adhoc-scope",
-                    path,
-                    t.line,
-                    "`std::thread::scope` outside `pool.rs` — dispatch through \
-                     `blob_blas::pool` (`run_scoped`/`parallel_for`) instead",
-                ));
-            }
-        }
-    }
-
-    // --- no-unwrap-in-lib: library code outside #[cfg(test)] -------------
-    if class.is_lib {
-        for (i, t) in code.iter().enumerate() {
-            if in_regions(t.line, test_regions) || t.kind != TokenKind::Ident {
-                continue;
-            }
-            let prev_dot = i > 0 && code[i - 1].text == ".";
-            let next = |o: usize| code.get(i + o).map(|t| t.text.as_str());
-            let hit = match t.text.as_str() {
-                "unwrap" | "expect" if prev_dot && next(1) == Some("(") => Some(format!(
-                    "`.{}()` in library code — return a typed error instead",
-                    t.text
-                )),
-                "panic" if next(1) == Some("!") => {
-                    Some("`panic!` in library code — return a typed error instead".to_string())
-                }
-                _ => None,
-            };
-            if let Some(message) = hit {
-                findings.push(Finding::new("no-unwrap-in-lib", path, t.line, message));
-            }
-        }
-    }
-
-    // --- no-unwrap-in-serve: service/driver binaries must not panic ------
-    // The serve and cli crates' *library* files are already policed by
-    // `no-unwrap-in-lib`; this rule extends the same pattern to their
-    // binary files (`main.rs`, `src/bin/…`), which that rule skips. A
-    // panic there takes down the long-running advisor service or aborts a
-    // sweep mid-run, so availability depends on handling the error. The
-    // scopes are disjoint (`is_lib` vs not), so a site is never reported
-    // by both rules.
-    let serve_scope = !class.is_lib
-        && !class.is_test_like
-        && (path.starts_with("crates/serve/") || path.starts_with("crates/cli/"));
-    if serve_scope {
-        for (i, t) in code.iter().enumerate() {
-            if in_regions(t.line, test_regions) || t.kind != TokenKind::Ident {
-                continue;
-            }
-            let prev_dot = i > 0 && code[i - 1].text == ".";
-            let next = |o: usize| code.get(i + o).map(|t| t.text.as_str());
-            let hit = match t.text.as_str() {
-                "unwrap" | "expect" if prev_dot && next(1) == Some("(") => Some(format!(
-                    "`.{}()` in service/driver code — report the error and exit cleanly instead",
-                    t.text
-                )),
-                "panic" if next(1) == Some("!") => Some(
-                    "`panic!` in service/driver code — report the error and exit cleanly instead"
-                        .to_string(),
-                ),
-                _ => None,
-            };
-            if let Some(message) = hit {
-                findings.push(Finding::new("no-unwrap-in-serve", path, t.line, message));
-            }
-        }
     }
 
     // --- no-float-eq: kernel/model code (blas + sim libraries) -----------
@@ -653,23 +652,19 @@ fn lexical_rules(u: &FileUnit) -> Vec<Finding> {
             Some("blob-blas") | Some("blob-sim")
         );
     if float_eq_scope {
+        let is_float = |t: Option<&Token>| {
+            t.is_some_and(|t| {
+                (t.kind == TokenKind::Num && is_float_literal(&t.text))
+                    || t.text == "f32"
+                    || t.text == "f64"
+            })
+        };
         for (i, t) in code.iter().enumerate() {
-            if t.kind != TokenKind::Punct || (t.text != "==" && t.text != "!=") {
+            if t.kind != TokenKind::Punct || (t.text != "==" && t.text != "!=") || in_test(t.line) {
                 continue;
             }
-            if in_regions(t.line, test_regions) {
-                continue;
-            }
-            let neighbor_float = |o: &Option<&&Token>| {
-                o.map(|t| {
-                    (t.kind == TokenKind::Num && is_float_literal(&t.text))
-                        || t.text == "f32"
-                        || t.text == "f64"
-                })
-                .unwrap_or(false)
-            };
-            let prev = if i > 0 { code.get(i - 1) } else { None };
-            if neighbor_float(&prev) || neighbor_float(&code.get(i + 1)) {
+            let prev = i.checked_sub(1).and_then(|p| code.get(p));
+            if is_float(prev) || is_float(code.get(i + 1)) {
                 findings.push(Finding::new(
                     "no-float-eq",
                     path,
@@ -695,18 +690,14 @@ fn lexical_rules(u: &FileUnit) -> Vec<Finding> {
         ];
         // indices into `tokens` (comments kept — we need to see the docs)
         for (i, t) in tokens.iter().enumerate() {
-            if t.text != "pub" || t.kind != TokenKind::Ident {
-                continue;
-            }
-            if in_regions(t.line, test_regions) {
+            if t.text != "pub" || t.kind != TokenKind::Ident || in_test(t.line) {
                 continue;
             }
             // `pub(crate)` and friends are not public API
-            let mut j = i + 1;
-            while j < tokens.len() && is_comment(&tokens[j]) {
-                j += 1;
-            }
-            if tokens.get(j).map(|t| t.text == "(").unwrap_or(true) {
+            let Some(j) = (i + 1..tokens.len()).find(|&j| !tokens[j].is_comment()) else {
+                continue;
+            };
+            if tokens[j].text == "(" {
                 continue;
             }
             // skip `unsafe`/`const`/`async` qualifiers to the item keyword
@@ -715,81 +706,33 @@ fn lexical_rules(u: &FileUnit) -> Vec<Finding> {
             for _ in 0..3 {
                 match tokens.get(probe).map(|t| t.text.as_str()) {
                     Some(k) if ITEM_KEYWORDS.contains(&k) => {
-                        item = Some(k.to_string());
+                        item = Some(k);
                         break;
                     }
                     Some("unsafe") | Some("const") | Some("async") | Some("extern") => probe += 1,
                     _ => break,
                 }
             }
+            let text_at = |k: usize| tokens.get(k).map(|t| t.text.as_str());
             let described = match item {
-                Some(k) => {
-                    // `pub mod name;` declarations carry their docs as `//!`
-                    // inside the module file (rustc accepts that), which a
-                    // single-file pass cannot see — skip them
-                    if k == "mod"
-                        && tokens
-                            .get(probe + 2)
-                            .map(|t| t.text == ";")
-                            .unwrap_or(false)
-                    {
-                        continue;
-                    }
-                    let name = tokens
-                        .get(probe + 1)
-                        .map(|t| t.text.clone())
-                        .unwrap_or_default();
-                    format!("{k} `{name}`")
-                }
+                // `pub mod name;` declarations carry their docs as `//!`
+                // inside the module file (rustc accepts that), which a
+                // single-file pass cannot see — skip them
+                Some("mod") if text_at(probe + 2) == Some(";") => continue,
+                Some(k) => format!("{k} `{}`", text_at(probe + 1).unwrap_or_default()),
                 // `pub name: Type` struct field (skip `pub use` re-exports
                 // and anything unrecognised)
                 None => {
-                    let is_field = tokens
-                        .get(j)
-                        .map(|t| t.kind == TokenKind::Ident)
-                        .unwrap_or(false)
-                        && tokens.get(j).map(|t| t.text != "use").unwrap_or(false)
-                        && tokens.get(j + 1).map(|t| t.text == ":").unwrap_or(false);
+                    let is_field = tokens[j].kind == TokenKind::Ident
+                        && tokens[j].text != "use"
+                        && text_at(j + 1) == Some(":");
                     if !is_field {
                         continue;
                     }
                     format!("field `{}`", tokens[j].text)
                 }
             };
-            // walk backwards over attributes to the nearest doc comment
-            let mut b = i;
-            let mut documented = false;
-            while b > 0 {
-                b -= 1;
-                let bt = &tokens[b];
-                match bt.kind {
-                    TokenKind::DocComment => {
-                        documented = true;
-                        break;
-                    }
-                    TokenKind::LineComment | TokenKind::BlockComment => continue,
-                    _ => {
-                        if bt.text == "]" {
-                            // skip back over one `#[…]` attribute
-                            let mut depth = 1;
-                            while b > 0 && depth > 0 {
-                                b -= 1;
-                                match tokens[b].text.as_str() {
-                                    "]" => depth += 1,
-                                    "[" => depth -= 1,
-                                    _ => {}
-                                }
-                            }
-                            if b > 0 && tokens[b - 1].text == "#" {
-                                b -= 1;
-                                continue;
-                            }
-                        }
-                        break;
-                    }
-                }
-            }
-            if !documented {
+            if docs_above(tokens, i).is_empty() {
                 findings.push(Finding::new(
                     "pub-item-docs",
                     path,
@@ -800,100 +743,34 @@ fn lexical_rules(u: &FileUnit) -> Vec<Finding> {
         }
     }
 
-    // --- no-raw-error-body: serve errors go through the envelope ---------
-    // Every serve error response must carry the uniform JSON envelope
-    // (`{"error":{"code","message","trace_id"}}`) and the `X-Blob-Trace`
-    // header, both minted by `envelope::error_response`. A handler that
-    // hand-builds an error via `Response::json(4xx…)`/`Response::text(5xx…)`
-    // silently forks the wire contract. Fires on the token sequence
-    // `Response :: json|text ( <int literal ≥ 400>` anywhere in
-    // `crates/serve/src/` except the envelope module itself and the
-    // transport layer (`http.rs`, which defines the constructors), tests
-    // excluded.
+    // --- no-raw-error-body: `Response::json|text(<literal ≥ 400>, …)`
+    // outside the envelope module and `http.rs`, which defines them
     let raw_error_scope = path.starts_with("crates/serve/src/")
         && path != "crates/serve/src/envelope.rs"
         && path != "crates/serve/src/http.rs";
     if raw_error_scope {
         for (i, t) in code.iter().enumerate() {
-            if t.kind != TokenKind::Ident || (t.text != "json" && t.text != "text") {
-                continue;
-            }
-            if in_regions(t.line, test_regions) {
-                continue;
-            }
-            let is_ctor = i >= 2
+            let is_ctor = t.kind == TokenKind::Ident
+                && (t.text == "json" || t.text == "text")
+                && i >= 2
                 && code[i - 1].text == "::"
                 && code[i - 2].text == "Response"
-                && code.get(i + 1).map(|t| t.text == "(").unwrap_or(false);
-            if !is_ctor {
+                && code.get(i + 1).is_some_and(|t| t.text == "(");
+            if !is_ctor || in_test(t.line) {
                 continue;
             }
             let status = code
                 .get(i + 2)
                 .filter(|t| t.kind == TokenKind::Num)
                 .and_then(|t| t.text.parse::<u32>().ok());
-            if let Some(s) = status {
-                if s >= 400 {
-                    findings.push(Finding::new(
-                        "no-raw-error-body",
-                        path,
-                        t.line,
-                        format!(
-                            "`Response::{}({s}, …)` builds an error body outside the envelope — \
-                             use `envelope::error_response` instead",
-                            t.text
-                        ),
-                    ));
-                }
-            }
-        }
-    }
-
-    // --- no-direct-kernel-in-dispatch: routing goes through exec.rs ------
-    // The dispatch crate's contract is that every kernel invocation is a
-    // *decision*: `exec.rs` is the one sanctioned home for `blob_blas`
-    // calls, where the decide/complete pairing, history feedback and
-    // residency accounting are guaranteed. A direct kernel call anywhere
-    // else in the crate silently bypasses the dispatcher. Fires on a
-    // kernel identifier (`gemm_blocked`, `gemm_blocked_with`,
-    // `gemm_parallel`, `gemv_parallel`, `gemm_ref`, `gemv_ref`) followed
-    // by `(` — bare or path-qualified — and on the direct-path sequence
-    // `blob_blas :: gemm|gemv (`. `BlasCall::gemm(…)` shape constructors
-    // don't match (different preceding path, and bare `gemm`/`gemv` are
-    // not in the identifier set). Tests excluded — unit tests may drive
-    // kernels directly to cross-check the executor.
-    const KERNEL_FNS: [&str; 6] = [
-        "gemm_blocked",
-        "gemm_blocked_with",
-        "gemm_parallel",
-        "gemv_parallel",
-        "gemm_ref",
-        "gemv_ref",
-    ];
-    let dispatch_scope =
-        path.starts_with("crates/dispatch/src/") && path != "crates/dispatch/src/exec.rs";
-    if dispatch_scope {
-        for (i, t) in code.iter().enumerate() {
-            if t.kind != TokenKind::Ident || in_regions(t.line, test_regions) {
-                continue;
-            }
-            if !code.get(i + 1).map(|t| t.text == "(").unwrap_or(false) {
-                continue;
-            }
-            let named_kernel = KERNEL_FNS.contains(&t.text.as_str());
-            let blas_path = (t.text == "gemm" || t.text == "gemv")
-                && i >= 2
-                && code[i - 1].text == "::"
-                && code[i - 2].text == "blob_blas";
-            if named_kernel || blas_path {
+            if let Some(s) = status.filter(|&s| s >= 400) {
                 findings.push(Finding::new(
-                    "no-direct-kernel-in-dispatch",
+                    "no-raw-error-body",
                     path,
                     t.line,
                     format!(
-                        "direct `{}(…)` kernel call in dispatch code — route through the \
-                         executor (`exec.rs`) so the decision, history and residency \
-                         accounting stay consistent",
+                        "`Response::{}({s}, …)` builds an error body outside the envelope — \
+                         use `envelope::error_response` instead",
                         t.text
                     ),
                 ));
@@ -901,57 +778,13 @@ fn lexical_rules(u: &FileUnit) -> Vec<Finding> {
         }
     }
 
-    // --- no-unbounded-queue: serve queues must carry a capacity ----------
-    // Every queue in the serve path sits between a producer that can always
-    // go faster (accepted connections, fabric requests) and a consumer that
-    // can stall; an unbounded one turns overload into unbounded memory
-    // growth instead of visible back-pressure (the accept loop's
-    // `sync_channel` shed and the fabric pool's explicit cap are the
-    // sanctioned shapes). Fires on the token sequences `mpsc :: channel (`
-    // and `VecDeque :: new (` in `crates/serve/src/`, tests excluded.
-    if path.starts_with("crates/serve/src/") {
+    // --- no-untagged-precision: a public `gemm`/`gemv` kernel in the
+    // precision-plane homes takes a `Precision` argument
+    if path == "crates/blas/src/half.rs" || path == "crates/blas/src/emul.rs" {
         for (i, t) in code.iter().enumerate() {
-            if t.kind != TokenKind::Ident || in_regions(t.line, test_regions) {
-                continue;
-            }
-            if !code.get(i + 1).map(|t| t.text == "(").unwrap_or(false) || i < 2 {
-                continue;
-            }
-            let qualified = |head: &str| code[i - 1].text == "::" && code[i - 2].text == head;
-            let hit = match t.text.as_str() {
-                "channel" if qualified("mpsc") => Some(
-                    "`mpsc::channel()` is unbounded — use `mpsc::sync_channel(cap)` \
-                     so overload becomes back-pressure, not memory growth",
-                ),
-                "new" if qualified("VecDeque") => Some(
-                    "`VecDeque::new()` is unbounded — use `with_capacity(cap)` and \
-                     enforce the cap at the push site",
-                ),
-                _ => None,
-            };
-            if let Some(message) = hit {
-                findings.push(Finding::new("no-unbounded-queue", path, t.line, message));
-            }
-        }
-    }
-
-    // --- no-untagged-precision: half/emulated kernels carry their tag ----
-    // The precision plane's contract is that a reduced- or
-    // emulated-precision kernel always says which precision it computes:
-    // `bf16` vs `f16`, `f64-emul2` vs `f64-emul4` are different numerical
-    // objects, and validation tolerances, dispatch history keys and the
-    // wire echo are all keyed on the tag. Fires on a `pub fn` whose name
-    // contains `gemm` or `gemv` in the precision-plane kernel homes
-    // (crates/blas/src/half.rs, emul.rs) whose parameter list has no
-    // `Precision` token. Private helpers (already behind a tagged entry
-    // point) and tests are excluded.
-    let precision_scope = path == "crates/blas/src/half.rs" || path == "crates/blas/src/emul.rs";
-    if precision_scope {
-        for (i, t) in code.iter().enumerate() {
-            if t.kind != TokenKind::Ident || t.text != "fn" || in_regions(t.line, test_regions) {
-                continue;
-            }
-            if i == 0 || code[i - 1].text != "pub" {
+            let public_fn =
+                t.kind == TokenKind::Ident && t.text == "fn" && i > 0 && code[i - 1].text == "pub";
+            if !public_fn || in_test(t.line) {
                 continue;
             }
             let Some(name) = code.get(i + 1).filter(|n| n.kind == TokenKind::Ident) else {
@@ -960,28 +793,20 @@ fn lexical_rules(u: &FileUnit) -> Vec<Finding> {
             if !name.text.contains("gemm") && !name.text.contains("gemv") {
                 continue;
             }
-            // walk to the parameter list (past any generics) and scan its
-            // paren-balanced extent for a `Precision` type token
-            let mut j = i + 2;
-            while j < code.len() && code[j].text != "(" {
-                j += 1;
-            }
+            // the parameter list (past any generics), paren-balanced
             let mut depth = 0usize;
-            let mut tagged = false;
-            while j < code.len() {
-                match code[j].text.as_str() {
-                    "(" => depth += 1,
-                    ")" => {
-                        depth -= 1;
-                        if depth == 0 {
-                            break;
-                        }
+            let tagged = code[i + 2..]
+                .iter()
+                .skip_while(|t| t.text != "(")
+                .take_while(|t| {
+                    match t.text.as_str() {
+                        "(" => depth += 1,
+                        ")" => depth -= 1,
+                        _ => {}
                     }
-                    "Precision" => tagged = true,
-                    _ => {}
-                }
-                j += 1;
-            }
+                    depth > 0
+                })
+                .any(|t| t.text == "Precision");
             if !tagged {
                 findings.push(Finding::new(
                     "no-untagged-precision",
@@ -997,16 +822,18 @@ fn lexical_rules(u: &FileUnit) -> Vec<Finding> {
             }
         }
     }
-
-    findings
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    fn check_one(path: &str, src: &str) -> Vec<Finding> {
+        crate::check_files(&[(path.to_string(), src.to_string())])
+    }
+
     fn check_lib(src: &str) -> Vec<Finding> {
-        check_file("crates/blas/src/demo.rs", src, &Context::default())
+        check_one("crates/blas/src/demo.rs", src)
     }
 
     #[test]
@@ -1028,21 +855,16 @@ mod tests {
 
     #[test]
     fn unsafe_is_flagged_everywhere() {
-        let f = check_file(
-            "crates/blas/tests/t.rs",
-            "fn f() { unsafe { } }",
-            &Context::default(),
-        );
+        let f = check_one("crates/blas/tests/t.rs", "fn f() { unsafe { } }");
         assert_eq!(f.len(), 1);
         assert_eq!(f[0].rule, "no-unsafe");
     }
 
     #[test]
     fn simd_surface_flagged_outside_sanctioned_files() {
-        let f = check_file(
+        let f = check_one(
             "crates/sim/src/roofline.rs",
             "fn f() { let v = core::arch::x86_64::_mm256_setzero_pd(); }",
-            &Context::default(),
         );
         let rules: Vec<_> = f.iter().map(|x| x.rule).collect();
         assert!(
@@ -1050,20 +872,18 @@ mod tests {
             "expected no-unchecked-simd, got {rules:?}"
         );
         // mentions inside strings and comments don't fire
-        let clean = check_file(
+        let clean = check_one(
             "crates/sim/src/roofline.rs",
             "// core::arch::x86_64 is discussed here\nconst S: &str = \"_mm256_setzero_pd\";",
-            &Context::default(),
         );
         assert!(clean.is_empty(), "{clean:?}");
     }
 
     #[test]
     fn unbounded_queue_flagged_in_serve_only() {
-        let f = check_file(
+        let f = check_one(
             "crates/serve/src/fabric/worker.rs",
             "fn f() { let (tx, rx) = mpsc::channel(); let q: VecDeque<u8> = VecDeque::new(); }",
-            &Context::default(),
         );
         let rules: Vec<_> = f.iter().map(|x| x.rule).collect();
         assert_eq!(
@@ -1072,44 +892,39 @@ mod tests {
             "{f:?}"
         );
         // the bounded shapes are the sanctioned ones
-        let bounded = check_file(
+        let bounded = check_one(
             "crates/serve/src/fabric/worker.rs",
             "fn f() { let (tx, rx) = mpsc::sync_channel(8); \
              let q: VecDeque<u8> = VecDeque::with_capacity(8); }",
-            &Context::default(),
         );
         assert!(bounded.is_empty(), "{bounded:?}");
         // out of scope: other crates and serve tests
-        let elsewhere = check_file(
+        let elsewhere = check_one(
             "crates/core/src/runner.rs",
             "fn f() { let (tx, rx) = mpsc::channel(); }",
-            &Context::default(),
         );
         assert!(elsewhere.iter().all(|x| x.rule != "no-unbounded-queue"));
-        let in_test = check_file(
+        let in_test = check_one(
             "crates/serve/src/metrics.rs",
             "#[cfg(test)]\nmod tests {\n    fn f() { let (tx, rx) = mpsc::channel(); }\n}",
-            &Context::default(),
         );
         assert!(in_test.is_empty(), "{in_test:?}");
     }
 
     #[test]
     fn unsafe_fn_in_simd_home_needs_safety_section() {
-        let undocumented = check_file(
+        let undocumented = check_one(
             "crates/blas/src/pack.rs",
             "/// Packs a tile.\nunsafe fn pack_tile() {}",
-            &Context::default(),
         );
         assert_eq!(undocumented.len(), 1, "{undocumented:?}");
         assert_eq!(undocumented[0].rule, "no-unchecked-simd");
         // `# Safety` anywhere in the contiguous doc block satisfies it,
         // and no-unsafe stays quiet in the sanctioned files
-        let documented = check_file(
+        let documented = check_one(
             "crates/blas/src/pack.rs",
             "/// Packs a tile.\n///\n/// # Safety\n///\n/// Caller checked the feature.\n\
              #[inline]\npub(crate) unsafe fn pack_tile() { unsafe { } }",
-            &Context::default(),
         );
         assert!(documented.is_empty(), "{documented:?}");
     }
@@ -1136,10 +951,9 @@ mod tests {
     fn expect_and_panic_flagged_in_lib_only() {
         let lib = check_lib("fn f() { x.expect(\"boom\"); panic!(\"no\"); }");
         assert_eq!(lib.len(), 2);
-        let tests = check_file(
+        let tests = check_one(
             "crates/blas/tests/t.rs",
             "fn f() { x.expect(\"fine in tests\"); }",
-            &Context::default(),
         );
         assert!(tests.is_empty());
         // unwrap_or_else is a different identifier — not flagged
@@ -1150,28 +964,23 @@ mod tests {
     fn unwrap_in_serve_driver_binaries_flagged_once() {
         let src = "fn f(x: Option<u32>) -> u32 { x.unwrap() }";
         // cli binary: the new rule fires, the lib rule does not
-        let f = check_file("crates/cli/src/main.rs", src, &Context::default());
+        let f = check_one("crates/cli/src/main.rs", src);
         assert_eq!(f.len(), 1, "{f:?}");
         assert_eq!(f[0].rule, "no-unwrap-in-serve");
         // serve *library* file: only the lib rule fires — never both
-        let f = check_file("crates/serve/src/api.rs", src, &Context::default());
+        let f = check_one("crates/serve/src/api.rs", src);
         assert_eq!(f.len(), 1, "{f:?}");
         assert_eq!(f[0].rule, "no-unwrap-in-lib");
         // serve/cli tests are exempt, like everywhere else
-        let f = check_file("crates/serve/tests/chaos.rs", src, &Context::default());
+        let f = check_one("crates/serve/tests/chaos.rs", src);
         assert!(f.is_empty(), "{f:?}");
         // binaries of other crates are out of scope for this rule
-        let f = check_file(
-            "crates/bench/src/bin/experiments.rs",
-            src,
-            &Context::default(),
-        );
+        let f = check_one("crates/bench/src/bin/experiments.rs", src);
         assert!(f.iter().all(|f| f.rule != "no-unwrap-in-serve"), "{f:?}");
         // panic! and .expect() in a driver binary are the same violation
-        let f = check_file(
+        let f = check_one(
             "crates/cli/src/main.rs",
             "fn f() { x.expect(\"boom\"); panic!(\"no\"); }",
-            &Context::default(),
         );
         assert_eq!(f.len(), 2, "{f:?}");
         assert!(f.iter().all(|f| f.rule == "no-unwrap-in-serve"));
@@ -1180,7 +989,7 @@ mod tests {
     #[test]
     fn unwrap_in_serve_suppressible_with_reason() {
         let src = "fn f(x: Option<u32>) -> u32 {\n    // blob-check: allow(no-unwrap-in-serve): startup precondition\n    x.unwrap()\n}";
-        let f = check_file("crates/cli/src/main.rs", src, &Context::default());
+        let f = check_one("crates/cli/src/main.rs", src);
         assert!(f.is_empty(), "{f:?}");
     }
 
@@ -1192,11 +1001,7 @@ mod tests {
         // integer comparison is fine
         assert!(check_lib("fn f(x: usize) -> bool { x == 0 }").is_empty());
         // out of scope: core crate is not kernel/model code
-        let core = check_file(
-            "crates/core/src/x.rs",
-            "fn f(x: f64) -> bool { x == 0.0 }",
-            &Context::default(),
-        );
+        let core = check_one("crates/core/src/x.rs", "fn f(x: f64) -> bool { x == 0.0 }");
         assert!(core.iter().all(|f| f.rule != "no-float-eq"));
     }
 
@@ -1241,8 +1046,8 @@ mod tests {
         assert!(f[0].message.contains("field `x`"));
     }
 
-    fn guard_findings(path: &str, src: &str, ctx: &Context) -> Vec<Finding> {
-        check_file(path, src, ctx)
+    fn guard_findings(path: &str, src: &str) -> Vec<Finding> {
+        check_one(path, src)
             .into_iter()
             .filter(|f| f.rule == "contract-guard")
             .collect()
@@ -1252,30 +1057,26 @@ mod tests {
     fn contract_guard_detects_unvalidated_indexing() {
         let path = "crates/blas/src/gemm.rs";
         let bad = "pub fn kernel(a: &[f64]) -> f64 { a[0] }";
-        let ctx = Context::default();
-        assert_eq!(guard_findings(path, bad, &ctx).len(), 1);
+        assert_eq!(guard_findings(path, bad).len(), 1);
         let good = "pub fn kernel(a: &[f64]) -> Result<f64, ContractError> {\n    contract::check_vector(\"a\", a.len(), 1, 1)?;\n    Ok(a[0])\n}";
-        assert!(guard_findings(path, good, &ctx).is_empty());
+        assert!(guard_findings(path, good).is_empty());
         let late = "pub fn kernel(a: &[f64]) -> Result<f64, ContractError> {\n    let v = a[0];\n    contract::check_vector(\"a\", a.len(), 1, 1)?;\n    Ok(v)\n}";
-        assert!(guard_findings(path, late, &ctx)
+        assert!(guard_findings(path, late)
             .iter()
             .any(|f| f.message.contains("before validating")));
         // not a guarded file: same code passes
-        assert!(guard_findings("crates/sim/src/cpu.rs", bad, &ctx).is_empty());
+        assert!(guard_findings("crates/sim/src/cpu.rs", bad).is_empty());
     }
 
     #[test]
     fn contract_guard_accepts_delegation() {
-        let files = vec![(
-            "crates/blas/src/gemm.rs".to_string(),
-            "pub fn inner(a: &[f64]) -> Result<f64, ContractError> {\n    contract::check_vector(\"a\", a.len(), 1, 1)?;\n    Ok(a[0])\n}\npub fn outer(a: &[f64]) -> Result<f64, ContractError> {\n    inner(a)\n}\npub fn outer2(a: &[f64]) -> Result<f64, ContractError> {\n    outer(a)\n}\n"
-                .to_string(),
-        )];
-        let ctx = build_context(&files);
+        let path = "crates/blas/src/gemm.rs";
+        let src = "pub fn inner(a: &[f64]) -> Result<f64, ContractError> {\n    contract::check_vector(\"a\", a.len(), 1, 1)?;\n    Ok(a[0])\n}\npub fn outer(a: &[f64]) -> Result<f64, ContractError> {\n    inner(a)\n}\npub fn outer2(a: &[f64]) -> Result<f64, ContractError> {\n    outer(a)\n}\n";
+        let ctx = guard_context(&[FileUnit::build(path, src)]);
         assert!(ctx.guarded_fns.contains(&"inner".to_string()));
         assert!(ctx.guarded_fns.contains(&"outer".to_string()));
         assert!(ctx.guarded_fns.contains(&"outer2".to_string()));
-        let f = guard_findings(&files[0].0, &files[0].1, &ctx);
+        let f = guard_findings(path, src);
         assert!(f.is_empty(), "{f:?}");
     }
 
@@ -1286,10 +1087,10 @@ mod tests {
         assert_eq!(f.len(), 1, "{f:?}");
         assert_eq!(f[0].rule, "no-adhoc-scope");
         // pool.rs is the one sanctioned home for the primitive
-        let pool = check_file("crates/blas/src/pool.rs", src, &Context::default());
+        let pool = check_one("crates/blas/src/pool.rs", src);
         assert!(pool.iter().all(|f| f.rule != "no-adhoc-scope"), "{pool:?}");
         // other crates are out of scope for this rule
-        let core = check_file("crates/core/src/runner.rs", src, &Context::default());
+        let core = check_one("crates/core/src/runner.rs", src);
         assert!(core.iter().all(|f| f.rule != "no-adhoc-scope"), "{core:?}");
         // a different `scope` identifier (no `thread ::` prefix) is fine
         assert!(check_lib("fn f(s: Scope) { s.scope(|x| x); }").is_empty());
@@ -1308,84 +1109,72 @@ mod tests {
     #[test]
     fn raw_error_body_flagged_in_serve_handlers() {
         let bad = "fn f() -> Response { Response::json(400, doc) }";
-        let f = check_file("crates/serve/src/api.rs", bad, &Context::default());
+        let f = check_one("crates/serve/src/api.rs", bad);
         assert!(f.iter().any(|f| f.rule == "no-raw-error-body"), "{f:?}");
         let bad_text = "fn f() -> Response { Response::text(503, \"busy\".into()) }";
-        let f = check_file("crates/serve/src/server.rs", bad_text, &Context::default());
+        let f = check_one("crates/serve/src/server.rs", bad_text);
         assert!(f.iter().any(|f| f.rule == "no-raw-error-body"), "{f:?}");
         // success responses are fine
         let ok = "fn f() -> Response { Response::json(200, doc) }";
-        let f = check_file("crates/serve/src/api.rs", ok, &Context::default());
+        let f = check_one("crates/serve/src/api.rs", ok);
         assert!(f.iter().all(|f| f.rule != "no-raw-error-body"), "{f:?}");
         // a computed status is beyond a lexical rule — not flagged
         let dynamic = "fn f(s: u16) -> Response { Response::json(s, doc) }";
-        let f = check_file("crates/serve/src/api.rs", dynamic, &Context::default());
+        let f = check_one("crates/serve/src/api.rs", dynamic);
         assert!(f.iter().all(|f| f.rule != "no-raw-error-body"), "{f:?}");
         // the envelope module and the transport layer are the sanctioned homes
         for exempt in ["crates/serve/src/envelope.rs", "crates/serve/src/http.rs"] {
-            let f = check_file(exempt, bad, &Context::default());
+            let f = check_one(exempt, bad);
             assert!(f.iter().all(|f| f.rule != "no-raw-error-body"), "{f:?}");
         }
         // other crates are out of scope
-        let f = check_file("crates/cli/src/main.rs", bad, &Context::default());
+        let f = check_one("crates/cli/src/main.rs", bad);
         assert!(f.iter().all(|f| f.rule != "no-raw-error-body"), "{f:?}");
         // serve tests may hand-roll whatever they assert on
         let in_test =
             "#[cfg(test)]\nmod tests {\n    fn f() -> Response { Response::json(404, doc) }\n}";
-        let f = check_file("crates/serve/src/api.rs", in_test, &Context::default());
+        let f = check_one("crates/serve/src/api.rs", in_test);
         assert!(f.iter().all(|f| f.rule != "no-raw-error-body"), "{f:?}");
     }
 
     #[test]
     fn raw_error_body_suppressible_with_reason() {
         let src = "fn f() -> Response {\n    // blob-check: allow(no-raw-error-body): pre-envelope bootstrap reply\n    Response::json(500, doc)\n}";
-        let f = check_file("crates/serve/src/server.rs", src, &Context::default());
+        let f = check_one("crates/serve/src/server.rs", src);
         assert!(f.is_empty(), "{f:?}");
     }
 
     #[test]
     fn direct_kernel_flagged_in_dispatch_outside_exec() {
         let bad = "fn f(a: &[f64]) { gemm_parallel(p, a, b, c, m, n, k); }";
-        let f = check_file(
-            "crates/dispatch/src/dispatcher.rs",
-            bad,
-            &Context::default(),
-        );
+        let f = check_one("crates/dispatch/src/dispatcher.rs", bad);
         assert!(
             f.iter().any(|f| f.rule == "no-direct-kernel-in-dispatch"),
             "{f:?}"
         );
         // path-qualified calls are the same violation
         let qualified = "fn f() { blob_blas::gemm::gemm_blocked(a, b, c, m, n, k); }";
-        let f = check_file(
-            "crates/dispatch/src/front.rs",
-            qualified,
-            &Context::default(),
-        );
+        let f = check_one("crates/dispatch/src/front.rs", qualified);
         assert!(
             f.iter().any(|f| f.rule == "no-direct-kernel-in-dispatch"),
             "{f:?}"
         );
         // a direct `blob_blas::gemm(` path counts even though bare `gemm` doesn't
         let path_call = "fn f() { blob_blas::gemv(a, x, y, m, n); }";
-        let f = check_file(
-            "crates/dispatch/src/front.rs",
-            path_call,
-            &Context::default(),
-        );
+        let f = check_one("crates/dispatch/src/front.rs", path_call);
         assert!(
             f.iter().any(|f| f.rule == "no-direct-kernel-in-dispatch"),
             "{f:?}"
         );
         // exec.rs is the one sanctioned home for kernel invocations
-        let exec = check_file("crates/dispatch/src/exec.rs", bad, &Context::default());
+        let exec = check_one("crates/dispatch/src/exec.rs", bad);
         assert!(
             exec.iter()
                 .all(|f| f.rule != "no-direct-kernel-in-dispatch"),
             "{exec:?}"
         );
         // other crates are out of scope for this rule
-        let blas = check_file("crates/blas/src/gemm.rs", bad, &Context::default());
+        let blas = check_one("crates/blas/src/gemm.rs", bad);
         assert!(
             blas.iter()
                 .all(|f| f.rule != "no-direct-kernel-in-dispatch"),
@@ -1393,7 +1182,7 @@ mod tests {
         );
         // `BlasCall::gemm(…)` builds a shape description, not a kernel call
         let ctor = "fn f() -> BlasCall { BlasCall::gemm(Precision::F64, 64, 64, 64) }";
-        let f = check_file("crates/dispatch/src/mixed.rs", ctor, &Context::default());
+        let f = check_one("crates/dispatch/src/mixed.rs", ctor);
         assert!(
             f.iter().all(|f| f.rule != "no-direct-kernel-in-dispatch"),
             "{f:?}"
@@ -1401,11 +1190,7 @@ mod tests {
         // unit tests may drive kernels directly to cross-check the executor
         let in_test =
             "#[cfg(test)]\nmod tests {\n    fn g() { gemv_parallel(p, a, x, y, m, n); }\n}";
-        let f = check_file(
-            "crates/dispatch/src/dispatcher.rs",
-            in_test,
-            &Context::default(),
-        );
+        let f = check_one("crates/dispatch/src/dispatcher.rs", in_test);
         assert!(
             f.iter().all(|f| f.rule != "no-direct-kernel-in-dispatch"),
             "{f:?}"
@@ -1415,48 +1200,44 @@ mod tests {
     #[test]
     fn direct_kernel_suppressible_with_reason() {
         let src = "fn f() {\n    // blob-check: allow(no-direct-kernel-in-dispatch): calibration probe outside the decision loop\n    gemm_ref(a, b, c, m, n, k);\n}";
-        let f = check_file(
-            "crates/dispatch/src/dispatcher.rs",
-            src,
-            &Context::default(),
-        );
+        let f = check_one("crates/dispatch/src/dispatcher.rs", src);
         assert!(f.is_empty(), "{f:?}");
     }
 
     #[test]
     fn untagged_precision_kernels_flagged_in_plane_homes() {
         let bad = "/// Docs.\npub fn gemm_half(m: usize, n: usize, k: usize) {}";
-        let f = check_file("crates/blas/src/half.rs", bad, &Context::default());
+        let f = check_one("crates/blas/src/half.rs", bad);
         assert!(f.iter().any(|f| f.rule == "no-untagged-precision"), "{f:?}");
         // a `Precision` parameter anywhere in the list satisfies the rule,
         // including behind generics
         let good = "/// Docs.\npub fn gemm_emul<T: Scalar>(precision: Precision, m: usize) {}";
-        let f = check_file("crates/blas/src/emul.rs", good, &Context::default());
+        let f = check_one("crates/blas/src/emul.rs", good);
         assert!(f.iter().all(|f| f.rule != "no-untagged-precision"), "{f:?}");
         // private helpers live behind a tagged entry point
         let private = "fn emul_core_gemm(m: usize) {}";
-        let f = check_file("crates/blas/src/emul.rs", private, &Context::default());
+        let f = check_one("crates/blas/src/emul.rs", private);
         assert!(f.iter().all(|f| f.rule != "no-untagged-precision"), "{f:?}");
         // non-kernel functions are out of scope even when public
         let other = "/// Docs.\npub fn slice_bits(k: usize) -> u32 { 9 }";
-        let f = check_file("crates/blas/src/emul.rs", other, &Context::default());
+        let f = check_one("crates/blas/src/emul.rs", other);
         assert!(f.iter().all(|f| f.rule != "no-untagged-precision"), "{f:?}");
         // the rule is scoped to the precision-plane homes only
-        let elsewhere = check_file("crates/blas/src/gemm.rs", bad, &Context::default());
+        let elsewhere = check_one("crates/blas/src/gemm.rs", bad);
         assert!(
             elsewhere.iter().all(|f| f.rule != "no-untagged-precision"),
             "{elsewhere:?}"
         );
         // tests inside the plane homes may build untagged harness helpers
         let in_test = "#[cfg(test)]\nmod tests {\n    pub fn gemm_probe(m: usize) {}\n}";
-        let f = check_file("crates/blas/src/half.rs", in_test, &Context::default());
+        let f = check_one("crates/blas/src/half.rs", in_test);
         assert!(f.iter().all(|f| f.rule != "no-untagged-precision"), "{f:?}");
     }
 
     #[test]
     fn untagged_precision_suppressible_with_reason() {
         let src = "/// Docs.\n// blob-check: allow(no-untagged-precision): fixed-tag convenience wrapper\npub fn gemv_half_bf16(m: usize, n: usize) {}";
-        let f = check_file("crates/blas/src/half.rs", src, &Context::default());
+        let f = check_one("crates/blas/src/half.rs", src);
         assert!(f.is_empty(), "{f:?}");
     }
 
@@ -1466,22 +1247,5 @@ mod tests {
         let f = check_lib(src);
         assert_eq!(f.len(), 1, "{f:?}");
         assert_eq!(f[0].line, 6);
-    }
-
-    #[test]
-    fn line_hash_is_stable_and_whitespace_insensitive() {
-        assert_eq!(line_hash("  a[0]  "), line_hash("a[0]"));
-        assert_ne!(line_hash("a[0]"), line_hash("a[1]"));
-        assert_eq!(line_hash("").len(), 16);
-    }
-
-    #[test]
-    fn findings_carry_the_offending_line_hash() {
-        let f = check_lib("fn f(x: f64) -> bool { x == 0.0 }");
-        assert_eq!(f.len(), 1);
-        assert_eq!(
-            f[0].line_hash,
-            line_hash("fn f(x: f64) -> bool { x == 0.0 }")
-        );
     }
 }

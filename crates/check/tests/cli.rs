@@ -1,7 +1,8 @@
 //! End-to-end tests for the `blob-check` binary: a seeded violation must
-//! fail with machine-readable findings, the real workspace must be clean,
-//! and a baseline must park known findings without hiding new ones.
+//! fail with machine-readable findings, and the real workspace must be
+//! clean.
 
+use blob_core::wire::Json;
 use std::path::{Path, PathBuf};
 use std::process::{Command, Output};
 
@@ -20,6 +21,25 @@ fn run(args: &[&str]) -> Output {
         .args(args)
         .output()
         .expect("blob-check binary runs")
+}
+
+/// The `(rule, path, message)` of every finding in `--json` output.
+fn json_findings(stdout: &str) -> Vec<(String, String, String)> {
+    let Ok(Json::Arr(items)) = Json::parse(stdout) else {
+        panic!("--json prints one array: {stdout}");
+    };
+    items
+        .iter()
+        .map(|f| {
+            let field = |name: &str| {
+                f.get(name)
+                    .and_then(Json::as_str)
+                    .unwrap_or_else(|| panic!("finding without `{name}`: {stdout}"))
+                    .to_string()
+            };
+            (field("rule"), field("path"), field("message"))
+        })
+        .collect()
 }
 
 /// A scratch workspace on disk, removed on drop.
@@ -88,7 +108,7 @@ fn seeded_violation_fails_with_json_findings() {
         String::from_utf8_lossy(&out.stderr)
     );
     let stdout = String::from_utf8_lossy(&out.stdout);
-    let keys = blob_check::parse_baseline(&stdout);
+    let keys = json_findings(&stdout);
     let rules: Vec<&str> = keys.iter().map(|(r, _, _)| r.as_str()).collect();
     assert!(rules.contains(&"no-unwrap-in-lib"), "json was: {stdout}");
     assert!(rules.contains(&"no-unsafe"), "json was: {stdout}");
@@ -115,7 +135,7 @@ fn unguarded_kernel_trips_contract_guard() {
     let out = run(&["--root", &repo.root_arg(), "--json"]);
     assert_eq!(out.status.code(), Some(1));
     let stdout = String::from_utf8_lossy(&out.stdout);
-    let keys = blob_check::parse_baseline(&stdout);
+    let keys = json_findings(&stdout);
     assert!(
         keys.iter()
             .any(|(r, _, m)| *r == "contract-guard" && m.contains("gemm_rogue")),
@@ -138,51 +158,10 @@ fn suppression_without_reason_is_itself_a_finding() {
     let out = run(&["--root", &repo.root_arg(), "--json"]);
     assert_eq!(out.status.code(), Some(1));
     let stdout = String::from_utf8_lossy(&out.stdout);
-    let keys = blob_check::parse_baseline(&stdout);
+    let keys = json_findings(&stdout);
     assert!(
         keys.iter().any(|(r, _, _)| *r == "suppression"),
         "bare allow must be reported: {stdout}"
-    );
-}
-
-#[test]
-fn baseline_parks_old_findings_but_not_new_ones() {
-    let repo = ScratchRepo::new("baseline");
-    repo.write(
-        "crates/demo/src/lib.rs",
-        "pub fn boom() {\n    panic!(\"legacy\");\n}\n",
-    );
-    let baseline = repo.root.join("baseline.json");
-    let baseline_arg = baseline.display().to_string();
-
-    // park the existing finding
-    let out = run(&[
-        "--root",
-        &repo.root_arg(),
-        "--write-baseline",
-        &baseline_arg,
-    ]);
-    assert!(out.status.success(), "--write-baseline exits 0");
-    assert!(baseline.exists());
-
-    // with the baseline applied the same tree is clean
-    let out = run(&["--root", &repo.root_arg(), "--baseline", &baseline_arg]);
-    assert!(
-        out.status.success(),
-        "parked finding must not fail the run: {}",
-        String::from_utf8_lossy(&out.stdout)
-    );
-
-    // a new violation still fails even with the baseline
-    repo.write(
-        "crates/demo/src/extra.rs",
-        "pub fn fresh(xs: &[u32]) -> u32 {\n    *xs.first().unwrap()\n}\n",
-    );
-    let out = run(&["--root", &repo.root_arg(), "--baseline", &baseline_arg]);
-    assert_eq!(
-        out.status.code(),
-        Some(1),
-        "new violations must not hide behind the baseline"
     );
 }
 

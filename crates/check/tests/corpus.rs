@@ -1,4 +1,4 @@
-//! Golden-file corpus for the semantic analyses.
+//! Golden-file corpus for the rules.
 //!
 //! Each `tests/corpus/<case>.case` file is a minimal Rust snippet split
 //! into virtual workspace files by `//@ file: <path>` markers (the rules
@@ -183,8 +183,8 @@ fn parser_round_trips_token_spans() {
     }
 }
 
-/// Every analysis must appear in at least one golden — a corpus that
-/// silently stops covering a rule is itself a bug.
+/// Every rule in the catalogue must appear in at least one golden — a
+/// corpus that silently stops covering a rule is itself a bug.
 #[test]
 fn corpus_covers_every_semantic_analysis() {
     let dir = corpus_dir();
@@ -195,13 +195,7 @@ fn corpus_covers_every_semantic_analysis() {
             seen.push_str(&fs::read_to_string(&p).unwrap_or_default());
         }
     }
-    for rule in [
-        "atomics-ordering",
-        "lock-discipline",
-        "balance",
-        "drop-on-path",
-        "contract-guard",
-    ] {
+    for rule in blob_check::rules::RULES {
         assert!(
             seen.contains(&format!("[{rule}]")),
             "no corpus golden exercises `{rule}`"

@@ -155,7 +155,7 @@ impl Json {
     }
 
     /// Indented encoding (two spaces per level) for human-facing output
-    /// such as baseline files.
+    /// such as `blob-check --json` findings and timing reports.
     pub fn encode_pretty(&self) -> String {
         let mut out = String::new();
         self.encode_pretty_into(&mut out, 0);

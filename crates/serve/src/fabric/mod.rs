@@ -1,6 +1,6 @@
 //! The sharded serve fabric: a shard router fronting N backend worker
 //! processes, with replica health, hedged requests, and zero-loss
-//! failover (`DESIGN.md` §17).
+//! failover (`DESIGN.md` §16).
 //!
 //! Layout:
 //!

@@ -1,6 +1,6 @@
 //! The shard router: a [`Handler`] that fronts N backend replicas.
 //!
-//! Request path (see `DESIGN.md` §17):
+//! Request path (see `DESIGN.md` §16):
 //!
 //! 1. **Key** — `(system, op, shape-bucket)` extracted from the request
 //!    body; keyless requests (GETs, unparsable bodies) round-robin.
