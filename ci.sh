@@ -53,9 +53,11 @@
 #                               one JSON row per precision — the tunable-
 #                               precision plane stays wired through CLI,
 #                               runner and models — and the same sweep on
-#                               --system host for bf16, f16 and f64-emul
-#                               must emit one row per precision whose every
-#                               record has a positive measured CPU time
+#                               --system host for bf16, f16 and f64-emul2,
+#                               -emul3 and -emul4 (every Ozaki triangle
+#                               shape) must emit one row per precision
+#                               whose every record (10) has a positive
+#                               measured CPU time
 #   9. overhead gate            overhead_gate measures one reference kernel
 #                               shape (a 64^3 GEMM on 4 threads) and proves
 #                               a disabled fault point, a disabled trace
@@ -113,21 +115,21 @@ cargo run -q --release -p blob-cli --offline -- tune --quick \
     --budget-ms 5000 --dir "$TUNE_SMOKE_DIR"
 ls "$TUNE_SMOKE_DIR"/*.tune > /dev/null
 
-echo "==> precision plane gate (two-size sweeps: modelled bf16 + emulated-f64, measured host bf16, f16 + emulated-f64)"
+echo "==> precision plane gate (two-size sweeps: modelled bf16 + emulated-f64, measured host bf16, f16 + emulated-f64 k=2,3,4)"
 PRECISION_OUT="$(cargo run -q --release -p blob-cli --offline -- \
     --system lumi --problem gemm_square --precision bf16,f64-emul \
     -i 1 -d 2 --json)"
 grep -q '"precision": "bf16"' <<<"$PRECISION_OUT"
 grep -q '"precision": "f64-emul3"' <<<"$PRECISION_OUT"
 HOST_OUT="$(cargo run -q --release -p blob-cli --offline -- \
-    --system host --problem gemm_square --precision bf16,f16,f64-emul \
+    --system host --problem gemm_square --precision bf16,f16,f64-emul2,f64-emul3,f64-emul4 \
     -i 1 -d 2 --json)"
-for p in bf16 f16 f64-emul3; do
+for p in bf16 f16 f64-emul2 f64-emul3 f64-emul4; do
     [ "$(grep -c "\"precision\": \"$p\"" <<<"$HOST_OUT")" -eq 1 ]
 done
-# three precisions x two sizes, each timed on the host
+# five precisions x two sizes, each timed on the host
 grep -o '"cpu_seconds": [^,]*' <<<"$HOST_OUT" |
-    awk '{ n++; if ($2 + 0 <= 0) bad++ } END { exit !(n == 6 && bad == 0) }'
+    awk '{ n++; if ($2 + 0 <= 0) bad++ } END { exit !(n == 10 && bad == 0) }'
 
 echo "==> overhead gate (disabled fault point, disabled trace span, one dispatch decision: each < 1% of gemm_par4_64)"
 cargo run -q --release -p blob-bench --bin overhead_gate --offline

@@ -137,8 +137,10 @@ pub fn gemm_rel_tolerance(p: Precision, inner: usize) -> f64 {
         Precision::Bf16 | Precision::F16 => {
             8.0 * n.sqrt() * Precision::F32.unit_roundoff() + 2.0 * p.unit_roundoff()
         }
-        // emulation error is the uncaptured slice remainder, linear in the
-        // contraction length (worst case; see `blob_blas::emul`)
+        // emulation error is the uncaptured slice remainder plus the slice
+        // pairs below the Ozaki triangle, each of the same order 2^(-k·t)
+        // of the row and column scales, linear in the contraction length
+        // (worst case; see `blob_blas::emul`)
         Precision::F64Emul(_) => {
             let k = p.emul_slices().unwrap_or(3) as i32;
             // slice bits at the emulation's inner blocking (emul::EMUL_KC)

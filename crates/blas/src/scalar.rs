@@ -195,9 +195,10 @@ pub enum Precision {
     F16,
     /// f64 operands computed by the Ozaki split-precision scheme: each
     /// operand decomposed into this many exact lower-precision slices,
-    /// every slice pair contracted by the fast f32 GEMM, recombined in
-    /// f64 (see `blob_blas::emul`). The payload is the slice count `K`
-    /// (2..=4); accuracy improves roughly as `2^(-K·t)`.
+    /// the slice pairs of the Ozaki triangle contracted by the fast f32
+    /// GEMM, recombined in f64 (see `blob_blas::emul`). The payload is
+    /// the slice count `K` (2..=4); accuracy improves roughly as
+    /// `2^(-K·t)`.
     F64Emul(u8),
 }
 
@@ -240,6 +241,17 @@ impl Precision {
                 Some(k)
             }
             _ => None,
+        }
+    }
+
+    /// The slice-pair products an emulated-f64 GEMM contracts per inner
+    /// block: the Ozaki triangle `s + r < K`, `K(K+1)/2` of the `K²`
+    /// pairs. `None` for native formats. The kernel runs exactly these
+    /// and the CPU/GPU models price exactly these.
+    pub const fn emul_products(self) -> Option<usize> {
+        match self.emul_slices() {
+            Some(k) => Some(k as usize * (k as usize + 1) / 2),
+            None => None,
         }
     }
 
@@ -381,6 +393,12 @@ mod tests {
         assert_eq!(Precision::F64Emul(9).emul_slices(), Some(4)); // clamped
         assert_eq!(Precision::F64Emul(0).emul_slices(), Some(2)); // clamped
         assert_eq!(Precision::F32.emul_slices(), None);
+        // the Ozaki triangle: K(K+1)/2 slice-pair products
+        assert_eq!(Precision::F64Emul(2).emul_products(), Some(3));
+        assert_eq!(Precision::F64Emul(3).emul_products(), Some(6));
+        assert_eq!(Precision::F64Emul(4).emul_products(), Some(10));
+        assert_eq!(Precision::F64Emul(9).emul_products(), Some(10)); // clamped
+        assert_eq!(Precision::F64.emul_products(), None);
         // ALL stays the paper pair; EXTENDED grows the axis
         assert_eq!(Precision::ALL.len(), 2);
         assert_eq!(Precision::EXTENDED.len(), 5);

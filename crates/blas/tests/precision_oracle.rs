@@ -10,14 +10,20 @@
 //! - a half GEMM is the f32 GEMM of its widened operands, narrowed once:
 //!   bit-identical to narrowing the f32 path's result, including for
 //!   `k = KC + 17`, where the product spans two k-panels;
-//! - emulated f64 is bit-identical to the `K²`-call composition kept below
-//!   as [`emul_oracle`], on random ill-scaled operands.
+//! - emulated f64 is bit-identical to the Ozaki-triangle composition kept
+//!   below as [`emul_oracle`] (one f32 GEMM per kept slice pair and block,
+//!   each level summed in f64 and folded once), on random ill-scaled
+//!   operands and on operands at the ends of the exponent range; its
+//!   level tiles are exact at the slice bounds; and it is as accurate as
+//!   the full `K²` composition the same oracle runs.
 
 use blob_blas::contract::gemm_rel_tolerance;
 use blob_blas::emul::{slice_bits, EMUL_KC};
 use blob_blas::gemm::KC;
+use blob_blas::microkernel::run_ukernel;
 use blob_blas::rng::XorShift64;
 use blob_blas::scalar::{Precision, Scalar};
+use blob_blas::tune;
 use blob_blas::{
     gemm_blocked, gemm_emul, gemm_half, gemm_parallel, gemm_ref, gemv_emul, Bf16, HalfScalar, F16,
 };
@@ -316,12 +322,25 @@ fn repeated_half_gemm_reuses_the_f32_arena() {
 // emulated f64
 // ---------------------------------------------------------------------------
 
-/// 2^e as f64, exact over the full finite exponent range.
+/// 2^e as f64 wherever it is representable: a normal power from its
+/// exponent bits, a subnormal one from its mantissa bit, 0 below 2^−1074
+/// and ∞ above 2^1023.
 fn pow2(e: i32) -> f64 {
-    if (-1022..=1023).contains(&e) {
-        f64::from_bits(((e + 1023) as u64) << 52)
-    } else {
-        2f64.powi(e)
+    match e {
+        -1022..=1023 => f64::from_bits(((e + 1023) as u64) << 52),
+        -1074..=-1023 => f64::from_bits(1 << (e + 1074)),
+        ..-1074 => 0.0,
+        _ => f64::INFINITY,
+    }
+}
+
+/// `x / 2^e`, divided in two steps where 2^e is not a finite normal
+/// number, so that a representable quotient comes out exact.
+fn div_pow2(x: f64, e: i32) -> f64 {
+    match e {
+        ..-1022 => x / pow2(e + 1022) / pow2(-1022),
+        1024.. => x / pow2(e - 1023) / pow2(1023),
+        _ => x / pow2(e),
     }
 }
 
@@ -335,13 +354,18 @@ fn tau(x: f64) -> i32 {
     }
 }
 
-/// The emulation as `K²·⌈k/EMUL_KC⌉` separate f32 `gemm_blocked` calls
-/// over dense slice copies, each folded into an m×n f64 accumulator — the
-/// composition the packed implementation must reproduce bit for bit.
-/// Returns the number of f32 GEMM calls.
+/// The emulation as separate f32 `gemm_blocked` calls over dense slice
+/// copies, one per slice pair `(s, r)` of the first `levels` levels
+/// `L = s + r` and per [`EMUL_KC`] block. A level's pair products are
+/// summed in f64, which is exact, and folded once into an m×n f64
+/// accumulator, in the order block → level. `levels = kk` is the Ozaki
+/// triangle the packed implementation must reproduce bit for bit;
+/// `levels = 2·kk − 1` is the full `K²` composition. Returns the number of
+/// f32 GEMM calls.
 #[allow(clippy::too_many_arguments)]
 fn emul_oracle(
     kk: usize,
+    levels: usize,
     m: usize,
     n: usize,
     k: usize,
@@ -368,9 +392,9 @@ fn emul_oracle(
     let slice = |x: f64, t0: i32, out: &mut [Vec<f32>], at: usize| {
         let mut rem = x;
         for (s, dst) in out.iter_mut().enumerate() {
-            let unit = pow2(t0 - (s as i32 + 1) * t as i32);
-            let q = (rem / unit).round_ties_even();
-            rem -= q * unit;
+            let e = t0 - (s as i32 + 1) * t as i32;
+            let q = div_pow2(rem, e).round_ties_even();
+            rem -= div_pow2(q, -e);
             dst[at] = q as f32;
         }
     };
@@ -388,19 +412,21 @@ fn emul_oracle(
     }
     let mut calls = 0;
     let mut acc = vec![0.0f64; m * n];
+    let mut level = vec![0.0f64; m * n];
     let mut cpair = vec![0.0f32; m * n];
     for jb in (0..k).step_by(EMUL_KC) {
         let kc = EMUL_KC.min(k - jb);
-        for (s, sa_s) in sa.iter().enumerate() {
-            for (r, sb_r) in sb.iter().enumerate() {
+        for l in 0..levels {
+            level.fill(0.0);
+            for s in l.saturating_sub(kk - 1)..=l.min(kk - 1) {
                 gemm_blocked(
                     m,
                     n,
                     kc,
                     1.0f32,
-                    &sa_s[jb * m..],
+                    &sa[s][jb * m..],
                     m,
-                    &sb_r[jb..],
+                    &sb[l - s][jb..],
                     k,
                     0.0f32,
                     &mut cpair,
@@ -408,13 +434,16 @@ fn emul_oracle(
                 )
                 .expect("slice GEMM arguments are valid");
                 calls += 1;
-                let sc = -((s + r + 2) as i32) * t as i32;
-                for j in 0..n {
-                    for i in 0..m {
-                        let p = cpair[i + j * m] as f64;
-                        if p != 0.0 {
-                            acc[i + j * m] += p * pow2(ta[i] + tb[j] + sc);
-                        }
+                for (sum, &p) in level.iter_mut().zip(&cpair) {
+                    *sum += p as f64;
+                }
+            }
+            let sc = -((l + 2) as i32) * t as i32;
+            for j in 0..n {
+                for i in 0..m {
+                    let p = level[i + j * m];
+                    if p != 0.0 {
+                        acc[i + j * m] += div_pow2(p, -(ta[i] + tb[j] + sc));
                     }
                 }
             }
@@ -443,6 +472,56 @@ fn bits(v: &[f64]) -> Vec<u64> {
     v.iter().map(|x| x.to_bits()).collect()
 }
 
+/// `gemm_emul` and `gemv_emul` on `case`'s operands, each asserted
+/// bit-identical to the triangle [`emul_oracle`]; the GEMV runs once at
+/// unit stride and once with `x` at increment −2 (NaN between its
+/// elements) and `y` at −1.
+fn assert_matches_oracle(p: Precision, case: &Case, a: &[f64], b: &[f64], c0: &[f64]) {
+    let kk = p.emul_slices().expect("an emulation tag") as usize;
+    let mut got = c0.to_vec();
+    let report = gemm_emul(
+        p, case.m, case.n, case.k, case.alpha, a, case.lda, b, case.ldb, case.beta, &mut got,
+        case.ldc,
+    )
+    .expect("valid arguments");
+    let mut want = c0.to_vec();
+    let calls = emul_oracle(
+        kk, kk, case.m, case.n, case.k, case.alpha, a, case.lda, b, case.ldb, case.beta, &mut want,
+        case.ldc,
+    );
+    assert_eq!(report.f32_gemm_calls, calls, "{p:?} {case:?}");
+    assert_eq!(bits(&got), bits(&want), "{p:?} {case:?}");
+
+    // GEMV: the same core with one right-hand column
+    let x = &b[..case.k];
+    let mut want = c0[..case.m].to_vec();
+    emul_oracle(
+        kk, kk, case.m, 1, case.k, case.alpha, a, case.lda, x, case.k, case.beta, &mut want, case.m,
+    );
+    let mut y = c0[..case.m].to_vec();
+    gemv_emul(
+        p, case.m, case.k, case.alpha, a, case.lda, x, 1, case.beta, &mut y, 1,
+    )
+    .expect("valid arguments");
+    assert_eq!(bits(&y), bits(&want), "gemv {p:?} {case:?}");
+
+    let mut x_neg = vec![f64::NAN; 2 * case.k.max(1) - 1];
+    for (j, &v) in x.iter().enumerate() {
+        x_neg[2 * (case.k - 1 - j)] = v;
+    }
+    let mut y_neg: Vec<f64> = c0[..case.m].iter().rev().copied().collect();
+    gemv_emul(
+        p, case.m, case.k, case.alpha, a, case.lda, &x_neg, -2, case.beta, &mut y_neg, -1,
+    )
+    .expect("valid arguments");
+    y_neg.reverse();
+    assert_eq!(
+        bits(&y_neg),
+        bits(&want),
+        "gemv at increments -2/-1 {p:?} {case:?}"
+    );
+}
+
 #[test]
 fn emulated_f64_matches_the_f64_reference() {
     for kk in 2u8..=4 {
@@ -462,58 +541,220 @@ fn emulated_f64_matches_the_f64_reference() {
 }
 
 #[test]
-fn emulated_f64_is_bit_identical_to_the_k2_call_composition() {
+fn emulated_f64_is_bit_identical_to_the_triangle_composition() {
     for kk in 2u8..=4 {
-        let p = Precision::F64Emul(kk);
         for (seed, case) in emul_cases().iter().enumerate() {
             let (a, b, c0) = operands::<f64>(case, seed as u64 + 100, 8);
-            let mut got = c0.clone();
-            let report = gemm_emul(
-                p, case.m, case.n, case.k, case.alpha, &a, case.lda, &b, case.ldb, case.beta,
-                &mut got, case.ldc,
-            )
-            .expect("valid arguments");
-            let mut want = c0.clone();
-            let calls = emul_oracle(
-                kk as usize,
-                case.m,
-                case.n,
-                case.k,
-                case.alpha,
-                &a,
-                case.lda,
-                &b,
-                case.ldb,
-                case.beta,
-                &mut want,
-                case.ldc,
-            );
-            assert_eq!(report.f32_gemm_calls, calls, "{p:?} {case:?}");
-            assert_eq!(bits(&got), bits(&want), "{p:?} {case:?}");
+            assert_matches_oracle(Precision::F64Emul(kk), case, &a, &b, &c0);
+        }
+    }
+}
 
-            // GEMV: the same core with one right-hand column
-            let x = &b[..case.k];
-            let mut y = c0[..case.m].to_vec();
-            gemv_emul(
-                p, case.m, case.k, case.alpha, &a, case.lda, x, 1, case.beta, &mut y, 1,
-            )
-            .expect("valid arguments");
-            let mut want = c0[..case.m].to_vec();
-            emul_oracle(
-                kk as usize,
-                case.m,
-                1,
-                case.k,
-                case.alpha,
-                &a,
-                case.lda,
-                x,
-                case.k,
-                case.beta,
-                &mut want,
-                case.m,
-            );
-            assert_eq!(bits(&y), bits(&want), "gemv {p:?} {case:?}");
+/// Row scales of `A` and column scales of `B` whose slice units leave the
+/// reciprocal path's exponent range: rows and columns at 2^±1000, the top
+/// binade against the smallest subnormal, subnormal elements, and all-zero
+/// rows and columns (scale 0).
+fn extreme_scales() -> [(Vec<f64>, Vec<f64>); 4] {
+    [
+        (
+            vec![pow2(1000), 1.0, 0.0],
+            vec![pow2(-1000), pow2(-20), 0.0],
+        ),
+        (vec![pow2(-1000), pow2(-1050), 0.0], vec![pow2(1000), 1.0]),
+        (vec![pow2(1023), pow2(1000)], vec![pow2(-1074), pow2(-1050)]),
+        (vec![1.0, pow2(-1050)], vec![pow2(-1050), 1.0, 0.0]),
+    ]
+}
+
+/// Extreme-exponent operands, including β ≠ 0: bit-identical to the
+/// oracle, and within the emulation's tolerance of the f64 reference
+/// measured against the row and column scales (`4` covers `2^τ ≤ 2·max`
+/// on each side), plus a few subnormal units of slack. α = −2 scales
+/// exactly: `gemm_ref` applies α to `B`, which would round a subnormal.
+#[test]
+fn emulated_f64_extreme_exponents_match_the_oracle_and_the_reference() {
+    let mut rng = XorShift64::new(0xE7);
+    for (rows, cols) in extreme_scales() {
+        for (m, n, k) in [(19, 9, 33), (45, 37, 70), (5, 3, 1)] {
+            let a: Vec<f64> = (0..m * k)
+                .map(|at| rng.range_f64(-1.0, 1.0) * rows[at % m % rows.len()])
+                .collect();
+            let b: Vec<f64> = (0..k * n)
+                .map(|at| rng.range_f64(-1.0, 1.0) * cols[at / k % cols.len()])
+                .collect();
+            for beta in [0.0, 2.0] {
+                let case = Case {
+                    m,
+                    n,
+                    k,
+                    alpha: -2.0,
+                    beta,
+                    lda: m,
+                    ldb: k,
+                    ldc: m,
+                    threads: 1,
+                };
+                let c0 = if beta == 0.0 {
+                    vec![f64::NAN; m * n]
+                } else {
+                    (0..m * n).map(|_| rng.range_f64(-1.0, 1.0)).collect()
+                };
+                for kk in 2u8..=4 {
+                    let p = Precision::F64Emul(kk);
+                    assert_matches_oracle(p, &case, &a, &b, &c0);
+                    let mut got = c0.clone();
+                    gemm_emul(p, m, n, k, -2.0, &a, m, &b, k, beta, &mut got, m)
+                        .expect("valid arguments");
+                    let want = reference(&case, &a, &b, &c0);
+                    let tol = gemm_rel_tolerance(p, k);
+                    for j in 0..n {
+                        let bmax = (0..k).fold(0.0f64, |mx, i| mx.max(b[i + j * k].abs()));
+                        for i in 0..m {
+                            let amax = (0..k).fold(0.0f64, |mx, p| mx.max(a[i + p * m].abs()));
+                            let (g, w) = (got[i + j * m], want[i + j * m]);
+                            let bound = tol * (2.0 * 4.0 * (amax * bmax) + w.abs())
+                                + (k as f64 + 16.0) * pow2(-1074);
+                            assert!(
+                                (g - w).abs() <= bound,
+                                "{p:?} {m}x{n}x{k} β={beta}: C[{i},{j}] = {g:e}, reference {w:e}"
+                            );
+                        }
+                    }
+                }
+            }
+        }
+    }
+}
+
+/// The level-tile lemma on the micro-kernel the emulation runs: panels at
+/// the slice bounds (`|q₀| = 2^t`, `|q_s| = 2^(t−1)`, all positive) for
+/// every block length, each level's `L + 1` slice-pair micro-kernels run
+/// into one f32 tile that must equal the f64 sum exactly. At the first
+/// inner index `A`'s leading slice and every `B` slice sit one below their
+/// bound, which makes every level sum odd: an odd integer is exact in f32
+/// only below 2^24. One slice bit more must break that, so the check can
+/// see a rounding.
+#[test]
+fn emulated_f64_level_tiles_are_exact_at_the_slice_bounds() {
+    let kern = tune::active::<f32>(1);
+    let (mr, nr) = (kern.geom.mr, kern.geom.nr);
+    // the level tiles of panels cut with `t` bits, each with its f64 sum
+    let level_tiles = |kk: usize, kb: usize, t: u32| -> Vec<(Vec<f32>, f64)> {
+        let bound = |s: usize| if s == 0 { 1u32 << t } else { 1 << (t - 1) };
+        let value = |s: usize, p: usize, lead_only: bool| {
+            let odd = p == 0 && (s == 0 || !lead_only);
+            (bound(s) - u32::from(odd)) as f32
+        };
+        let a: Vec<Vec<f32>> = (0..kk)
+            .map(|s| (0..kb * mr).map(|at| value(s, at / mr, true)).collect())
+            .collect();
+        let b: Vec<Vec<f32>> = (0..kk)
+            .map(|r| (0..kb * nr).map(|at| value(r, at / nr, false)).collect())
+            .collect();
+        (0..kk)
+            .map(|l| {
+                let mut tile = vec![0.0f32; mr * nr];
+                let mut sum = 0.0f64;
+                for s in 0..=l {
+                    run_ukernel(kern.engine, kern.geom, kb, &a[s], &b[l - s], &mut tile);
+                    sum += (0..kb)
+                        .map(|p| f64::from(a[s][p * mr]) * f64::from(b[l - s][p * nr]))
+                        .sum::<f64>();
+                }
+                (tile, sum)
+            })
+            .collect()
+    };
+    for kk in 2..=4 {
+        for kb in 1..=EMUL_KC {
+            for (l, (tile, sum)) in level_tiles(kk, kb, slice_bits(kb)).iter().enumerate() {
+                assert_eq!(sum % 2.0, 1.0, "K={kk} block {kb} level {l}: odd sum");
+                for &v in tile {
+                    assert_eq!(f64::from(v), *sum, "K={kk} block {kb} level {l}");
+                }
+            }
+        }
+    }
+    let wider = level_tiles(2, EMUL_KC, slice_bits(EMUL_KC) + 1);
+    assert!(
+        wider.iter().any(|(tile, sum)| f64::from(tile[0]) != *sum),
+        "one more slice bit must overflow f32's exact integers"
+    );
+}
+
+/// Max |got − reference| over max |reference|.
+fn max_rel_err(got: &[f64], want: &[f64]) -> f64 {
+    let scale = want.iter().fold(0.0f64, |mx, &v| mx.max(v.abs()));
+    let err = got
+        .iter()
+        .zip(want)
+        .fold(0.0f64, |mx, (&g, &w)| mx.max((g - w).abs()));
+    err / scale
+}
+
+/// Dropping the pairs below the triangle costs at most the order of the
+/// slice remainder every pair leaves out: on well- and badly-scaled
+/// operands the triangle's error is within 4× the full `K²` composition's.
+#[test]
+fn emulated_f64_triangle_is_as_accurate_as_the_full_square() {
+    for spread in [0, 8, 20] {
+        for (m, n, k) in [(24, 17, 80), (9, 13, 300)] {
+            let case = Case {
+                m,
+                n,
+                k,
+                alpha: 1.0,
+                beta: 0.0,
+                lda: m,
+                ldb: k,
+                ldc: m,
+                threads: 1,
+            };
+            let (a, b, _) = operands::<f64>(&case, 40 + spread as u64, spread);
+            let zeros = vec![0.0; m * n];
+            let want = reference(&case, &a, &b, &zeros);
+            for kk in 2..=4 {
+                let mut tri = zeros.clone();
+                let mut full = zeros.clone();
+                emul_oracle(kk, kk, m, n, k, 1.0, &a, m, &b, k, 0.0, &mut tri, m);
+                emul_oracle(
+                    kk,
+                    2 * kk - 1,
+                    m,
+                    n,
+                    k,
+                    1.0,
+                    &a,
+                    m,
+                    &b,
+                    k,
+                    0.0,
+                    &mut full,
+                    m,
+                );
+                let mut got = zeros.clone();
+                gemm_emul(
+                    Precision::F64Emul(kk as u8),
+                    m,
+                    n,
+                    k,
+                    1.0,
+                    &a,
+                    m,
+                    &b,
+                    k,
+                    0.0,
+                    &mut got,
+                    m,
+                )
+                .expect("valid arguments");
+                assert_eq!(bits(&got), bits(&tri), "K={kk} spread {spread} {m}x{n}x{k}");
+                let (e_tri, e_full) = (max_rel_err(&tri, &want), max_rel_err(&full, &want));
+                assert!(
+                    e_tri <= 4.0 * e_full,
+                    "K={kk} spread {spread} {m}x{n}x{k}: triangle {e_tri:.3e}, full {e_full:.3e}"
+                );
+            }
         }
     }
 }
@@ -539,5 +780,8 @@ fn emulated_f64_counts_slice_pair_block_products() {
         8,
     )
     .expect("valid arguments");
-    assert_eq!(report.f32_gemm_calls, 72, "K² · ⌈256 / EMUL_KC⌉ at K = 3");
+    assert_eq!(
+        report.f32_gemm_calls, 48,
+        "K(K+1)/2 · ⌈256 / EMUL_KC⌉ at K = 3"
+    );
 }

@@ -121,7 +121,8 @@ impl HostCpu {
     }
 
     /// Times the Ozaki emulated-f64 kernels: the measured cost includes
-    /// the slicing, the K² f32 GEMMs, and the f64 recombination.
+    /// the slicing, the K(K+1)/2 f32 slice-pair products of the Ozaki
+    /// triangle, and the f64 recombination.
     fn run_once_emul(&self, call: &BlasCall, iters: u32) -> f64 {
         let (precision, alpha, beta) = (call.precision, call.alpha, call.beta);
         match call.kernel {

@@ -59,10 +59,10 @@ impl CpuModel {
             // software bf16/f16 widen to f32 and run the f32 pipes — the
             // useful-FLOP rate is the f32 rate (no CPU matrix engine here)
             Precision::Bf16 | Precision::F16 => self.fp64_flops_per_cycle_core * self.fp32_ratio,
-            // Ozaki emulation pays K² f32 GEMMs per useful f64 GEMM
+            // Ozaki emulation pays K(K+1)/2 f32 GEMMs per useful f64 GEMM
             Precision::F64Emul(_) => {
-                let k = precision.emul_slices().unwrap_or(3) as f64;
-                self.fp64_flops_per_cycle_core * self.fp32_ratio / (k * k)
+                let pairs = precision.emul_products().unwrap_or(1) as f64;
+                self.fp64_flops_per_cycle_core * self.fp32_ratio / pairs
             }
         };
         active * self.freq_ghz * per_cycle
@@ -319,6 +319,17 @@ mod tests {
             m.peak_gflops(Precision::F64, 48)
         );
         assert_eq!(m.socket_flops_per_cycle(), 1536.0);
+    }
+
+    #[test]
+    fn emulation_prices_its_slice_pair_products() {
+        let m = model();
+        for k in 2..=4 {
+            let p = Precision::F64Emul(k);
+            let pairs = p.emul_products().unwrap() as f64;
+            let f32_rate = m.peak_gflops(Precision::F32, 48);
+            assert!((m.peak_gflops(p, 48) * pairs - f32_rate).abs() <= 1e-12 * f32_rate);
+        }
     }
 
     #[test]

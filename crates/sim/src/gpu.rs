@@ -41,10 +41,10 @@ impl GpuModel {
             // conventional 2× the fp32 vector rate (conservative — real
             // tensor cores are higher, but per-model data is not plumbed)
             Precision::Bf16 | Precision::F16 => self.fp32_tflops * 2e3,
-            // Ozaki emulation: K² fp32 GEMMs per useful f64 GEMM
+            // Ozaki emulation: K(K+1)/2 fp32 GEMMs per useful f64 GEMM
             Precision::F64Emul(_) => {
-                let k = precision.emul_slices().unwrap_or(3) as f64;
-                self.fp32_tflops * 1e3 / (k * k)
+                let pairs = precision.emul_products().unwrap_or(1) as f64;
+                self.fp32_tflops * 1e3 / pairs
             }
         }
     }
@@ -138,6 +138,17 @@ mod tests {
         let m = model();
         assert_eq!(m.peak_gflops(Precision::F32), 48_000.0);
         assert_eq!(m.peak_gflops(Precision::F64), 24_000.0);
+    }
+
+    #[test]
+    fn emulation_prices_its_slice_pair_products() {
+        let m = model();
+        for k in 2..=4 {
+            let p = Precision::F64Emul(k);
+            let pairs = p.emul_products().unwrap() as f64;
+            let f32_rate = m.peak_gflops(Precision::F32);
+            assert!((m.peak_gflops(p) * pairs - f32_rate).abs() <= 1e-12 * f32_rate);
+        }
     }
 
     #[test]
