@@ -17,7 +17,10 @@
 #                               drop-on-path), the checker's own sources
 #                               included, under a 5 s wall-clock budget
 #                               (writes results/check_timing.json)
-#   3. cargo build --release    everything compiles optimised, warnings-free
+#   3. cargo build --release    everything compiles optimised; then
+#                               cargo check --all-targets (tests, examples,
+#                               benches) on the workspace and on ledger/
+#                               must print no warning at all
 #   4. cargo test -q            the full workspace test suite — including
 #                               the serve_smoke end-to-end test (healthz,
 #                               advise, a threshold cache hit, shutdown),
@@ -86,8 +89,16 @@ echo "==> blob-check (full workspace, 5 s budget)"
 mkdir -p results
 cargo run -q -p blob-check --offline -- --timing results/check_timing.json --budget-ms 5000
 
-echo "==> cargo build --release"
+echo "==> cargo build --release, then a warning-free check of every target"
 cargo build --release --workspace --offline
+for manifest in Cargo.toml ledger/Cargo.toml; do
+    CHECK_OUT="$(cargo check -q --offline --workspace --all-targets --manifest-path "$manifest" 2>&1)"
+    if [ -n "$CHECK_OUT" ]; then
+        printf '%s\n' "$CHECK_OUT"
+        echo "ci: cargo check --all-targets printed warnings for $manifest" >&2
+        exit 1
+    fi
+done
 
 echo "==> cargo test"
 cargo test -q --workspace --offline

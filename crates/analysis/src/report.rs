@@ -13,15 +13,6 @@ fn find(sweeps: &[Sweep], precision: Precision, iters: u32) -> Option<&Sweep> {
         .find(|s| s.precision == precision && s.iterations == iters)
 }
 
-fn threshold_param(sweep: &Sweep, offload: Offload) -> Option<usize> {
-    let t = sweep.threshold(offload)?;
-    sweep
-        .records
-        .iter()
-        .find(|r| r.kernel == t)
-        .map(|r| r.param)
-}
-
 /// Builds a markdown report for one problem type on one system from
 /// sweeps covering several iteration counts (both precisions expected).
 ///
@@ -50,9 +41,8 @@ pub fn markdown_report(title: &str, sweeps: &[Sweep]) -> String {
     out.push_str("| Iterations | Once | Always | USM |\n|---|---|---|---|\n");
     for &i in &iters {
         let cell = |o: Offload| {
-            let s32 = find(sweeps, Precision::F32, i).and_then(|s| threshold_param(s, o));
-            let s64 = find(sweeps, Precision::F64, i).and_then(|s| threshold_param(s, o));
-            sd_pair_cell(s32, s64)
+            let param = |p| find(sweeps, p, i)?.threshold_record(o).map(|r| r.param);
+            sd_pair_cell(param(Precision::F32), param(Precision::F64))
         };
         out.push_str(&format!(
             "| {i} | {} | {} | {} |\n",
@@ -90,7 +80,7 @@ pub fn markdown_report(title: &str, sweeps: &[Sweep]) -> String {
     out.push_str("\n## Reading\n\n");
     let any_threshold = iters.iter().any(|&i| {
         find(sweeps, Precision::F32, i)
-            .and_then(|s| threshold_param(s, Offload::TransferOnce))
+            .and_then(|s| s.threshold(Offload::TransferOnce))
             .is_some()
     });
     if any_threshold {

@@ -166,12 +166,8 @@ mod tests {
                     Precision::F32,
                     &SweepConfig::new(1, 256, 32),
                 );
-                let t = sweep.threshold(Offload::TransferOnce)?;
-                let kernel = t;
                 sweep
-                    .records
-                    .iter()
-                    .find(|r| r.kernel == kernel)
+                    .threshold_record(Offload::TransferOnce)
                     .map(|r| r.param)
             })
             .collect();

@@ -2,7 +2,7 @@
 //! sections, and the library-quirk ablations.
 
 use super::{dash, gpu};
-use crate::{sweep, threshold_param};
+use crate::sweep;
 use blob_analysis::Table;
 use blob_core::problem::{GemmProblem, GemvProblem, Problem};
 use blob_sim::{
@@ -19,7 +19,7 @@ const SQUARE_GEMV: Problem = Problem::Gemv(GemvProblem::Square);
 /// The Transfer-Once threshold size of a paper sweep, as a table cell.
 fn once_threshold(sys: &SystemModel, problem: Problem, precision: Precision, iters: u32) -> String {
     let s = sweep(sys, problem, precision, iters);
-    dash(threshold_param(problem, s.threshold(Offload::TransferOnce)))
+    dash(s.threshold_record(Offload::TransferOnce).map(|r| r.param))
 }
 
 /// Smallest square size in `1..=max` from which the GPU (Transfer-Once)

@@ -22,7 +22,7 @@ pub mod microbench;
 use blob_analysis::{sd_pair_cell, Table};
 use blob_core::problem::Problem;
 use blob_core::runner::{run_sweep, Sweep, SweepConfig};
-use blob_sim::{Kernel, Offload, Precision, SystemModel};
+use blob_sim::{Offload, Precision, SystemModel};
 use std::path::PathBuf;
 
 /// Where experiment outputs (CSV, SVG, tables) are written.
@@ -36,28 +36,6 @@ pub fn results_dir() -> PathBuf {
 /// problem, precision, iterations).
 pub fn sweep(sys: &SystemModel, problem: Problem, precision: Precision, iters: u32) -> Sweep {
     run_sweep(sys, problem, precision, &SweepConfig::paper(iters))
-}
-
-/// The dominant (reported) dimension of a threshold for the compact `S:D`
-/// table cells: the size parameter that generated the dims.
-pub fn threshold_param(problem: Problem, t: Option<Kernel>) -> Option<usize> {
-    let dims = t?.dims();
-    let (m, n, k) = dims;
-    use blob_core::problem::{GemmProblem as G, GemvProblem as V};
-    Some(match problem {
-        Problem::Gemm(G::Square) | Problem::Gemm(G::TallK) | Problem::Gemm(G::SquareK32) => m,
-        Problem::Gemm(G::SixteenthK) => m,
-        Problem::Gemm(G::FixedMn32) => k,
-        Problem::Gemm(G::TallM) => k,
-        Problem::Gemm(G::FixedKn32) => m,
-        Problem::Gemm(G::WideN) => k,
-        Problem::Gemm(G::FixedMk32) => n,
-        Problem::Gemv(V::Square) => m,
-        Problem::Gemv(V::TallM) => n,
-        Problem::Gemv(V::FixedN32) => m,
-        Problem::Gemv(V::WideN) => m,
-        Problem::Gemv(V::FixedM32) => n,
-    })
 }
 
 /// One row of a Table III/IV-style threshold grid.
@@ -81,8 +59,8 @@ pub fn threshold_grid(sys: &SystemModel, problem: Problem) -> Vec<ThresholdRow> 
                 .iter()
                 .map(|&o| {
                     (
-                        threshold_param(problem, s32.threshold(o)),
-                        threshold_param(problem, s64.threshold(o)),
+                        s32.threshold_record(o).map(|r| r.param),
+                        s64.threshold_record(o).map(|r| r.param),
                     )
                 })
                 .collect();
@@ -148,17 +126,25 @@ pub fn first_iteration_cell(s: Option<u32>, d: Option<u32>) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use blob_core::problem::{GemmProblem, GemvProblem};
+    use blob_core::problem::GemmProblem;
     use blob_sim::presets;
 
     #[test]
     fn threshold_param_inverts_dims() {
-        let p = Problem::Gemm(GemmProblem::TallM); // (16k, k, k)
-        let t = Some(p.dims(10));
-        assert_eq!(threshold_param(p, t), Some(10));
-        let v = Problem::Gemv(GemvProblem::WideN); // (m, 16m)
-        assert_eq!(threshold_param(v, Some(v.dims(7))), Some(7));
-        assert_eq!(threshold_param(v, None), None);
+        // a grid cell is the size parameter that generated the threshold's
+        // dimensions, for every problem family
+        let sys = presets::isambard_ai();
+        for problem in Problem::all() {
+            let s = run_sweep(&sys, problem, Precision::F64, &SweepConfig::new(1, 256, 8));
+            for o in Offload::ALL {
+                let param = s.threshold_record(o).map(|r| r.param);
+                assert_eq!(
+                    param.map(|p| problem.dims(p)),
+                    s.threshold(o),
+                    "{problem:?}"
+                );
+            }
+        }
     }
 
     #[test]

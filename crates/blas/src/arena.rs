@@ -26,7 +26,7 @@
 //! - A panicking kernel loses the taken buffers (they die with the
 //!   unwind); the next call re-allocates. No state is corrupted.
 //! - Retained capacity is bounded by [`MAX_RETAINED_BYTES`] per buffer:
-//!   an ablation sweep with an oversized `BlockConfig` will not pin
+//!   an autotuner sweep with an oversized `BlockConfig` will not pin
 //!   arbitrarily large buffers on the thread forever.
 
 use std::any::{Any, TypeId};

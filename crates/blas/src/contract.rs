@@ -347,7 +347,7 @@ mod tests {
         let b = [1.0f64; 9];
         let mut c = [0.0f64; 6];
         assert_eq!(
-            crate::gemm(2, 3, 3, 1.0, &a, ld, &b, 3, 0.0, &mut c, 2),
+            crate::gemm_blocked(2, 3, 3, 1.0, &a, ld, &b, 3, 0.0, &mut c, 2),
             Err(short)
         );
     }

@@ -20,7 +20,7 @@
 //! violations as a typed [`ContractError`] instead of panicking.
 
 use crate::contract::{self, ContractError};
-use crate::microkernel::{run_ukernel, store_tile, Engine, Geometry, MAX_ACC, MR, NR};
+use crate::microkernel::{run_ukernel, store_tile, Engine, Geometry, MAX_ACC};
 use crate::pack::{pack_a, pack_b};
 use crate::perturb;
 use crate::pool;
@@ -36,10 +36,10 @@ pub const KC: usize = 256;
 /// Cache-block width of a `B` panel (columns per packed panel).
 pub const NC: usize = 2048;
 
-/// Cache-blocking parameters for the Goto algorithm — exposed so the
-/// blocking ablation (`bench gemm_blocking`) can sweep them. The defaults
-/// target an L2 of a few hundred KiB holding the packed A block
-/// (`MC × KC` elements) and an L3 panel of `KC × NC`.
+/// Cache-blocking parameters for the Goto algorithm: the autotuner sweeps
+/// them and [`TunedKernel`] carries the winner. The defaults target an L2
+/// of a few hundred KiB holding the packed A block (`MC × KC` elements)
+/// and an L3 panel of `KC × NC`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct BlockConfig {
     /// Rows of `A` per packed cache block.
@@ -202,31 +202,6 @@ pub fn gemm_blocked<T: Scalar>(
         c,
         ldc,
     )
-}
-
-/// Cache-blocked, packed GEMM with explicit blocking parameters (the
-/// engine/geometry stay at the host's tuned selection) — the entry point
-/// the blocking ablation sweeps.
-#[allow(clippy::too_many_arguments)]
-pub fn gemm_blocked_with<T: Scalar>(
-    cfg: BlockConfig,
-    m: usize,
-    n: usize,
-    k: usize,
-    alpha: T,
-    a: &[T],
-    lda: usize,
-    b: &[T],
-    ldb: usize,
-    beta: T,
-    c: &mut [T],
-    ldc: usize,
-) -> Result<(), ContractError> {
-    let kern = TunedKernel {
-        block: cfg,
-        ..tune::active::<T::Acc>(1)
-    };
-    gemm_blocked_tuned(&kern, m, n, k, alpha, a, lda, b, ldb, beta, c, ldc)
 }
 
 /// Cache-blocked, packed GEMM under a fully-explicit kernel configuration:
@@ -503,30 +478,6 @@ pub(crate) fn gemm_widened<T: Scalar>(
     }
     pool::run_scoped(jobs);
     Ok(())
-}
-
-/// Convenience entry point: picks the reference kernel for tiny problems
-/// (where packing overhead dominates) and the blocked kernel otherwise.
-pub fn gemm<T: Scalar>(
-    m: usize,
-    n: usize,
-    k: usize,
-    alpha: T,
-    a: &[T],
-    lda: usize,
-    b: &[T],
-    ldb: usize,
-    beta: T,
-    c: &mut [T],
-    ldc: usize,
-) -> Result<(), ContractError> {
-    // Below roughly a micro-tile's worth of work, packing costs more than
-    // it saves.
-    if m * n * k <= MR * NR * KC {
-        gemm_ref(m, n, k, alpha, a, lda, b, ldb, beta, c, ldc)
-    } else {
-        gemm_blocked(m, n, k, alpha, a, lda, b, ldb, beta, c, ldc)
-    }
 }
 
 #[cfg(test)]
@@ -843,46 +794,6 @@ mod tests {
     }
 
     #[test]
-    fn dispatcher_handles_both_regimes() {
-        // tiny -> reference path; larger -> blocked path; results identical
-        for s in [4, 96] {
-            let a = filled(s, s, 7);
-            let b = filled(s, s, 8);
-            let mut c1 = Matrix::<f64>::zeros(s, s);
-            let mut c2 = Matrix::<f64>::zeros(s, s);
-            gemm(
-                s,
-                s,
-                s,
-                1.0,
-                a.as_slice(),
-                s,
-                b.as_slice(),
-                s,
-                0.0,
-                c1.as_mut_slice(),
-                s,
-            )
-            .unwrap();
-            gemm_ref(
-                s,
-                s,
-                s,
-                1.0,
-                a.as_slice(),
-                s,
-                b.as_slice(),
-                s,
-                0.0,
-                c2.as_mut_slice(),
-                s,
-            )
-            .unwrap();
-            assert!(c1.approx_eq(&c2, 1e-10));
-        }
-    }
-
-    #[test]
     fn bad_lda_rejected() {
         let a = [0.0f64; 4];
         let b = [0.0f64; 4];
@@ -922,6 +833,5 @@ mod tests {
         assert!(gemm_ref(2, 2, 2, 1.0, &a, 2, &b, 2, 0.0, &mut c, 1).is_err());
         assert!(gemm_blocked(2, 2, 2, 1.0, &a, 2, &b, 2, 0.0, &mut c, 1).is_err());
         assert!(gemm_parallel(2, 2, 2, 2, 1.0, &a, 2, &b, 2, 0.0, &mut c, 1).is_err());
-        assert!(gemm(2, 2, 2, 1.0, &a, 2, &b, 2, 0.0, &mut c, 1).is_err());
     }
 }

@@ -9,7 +9,6 @@
 //!   contiguous block of `y` and sweeps all columns of its row band. This
 //!   is the multithreading AOCL famously *lacks* for GEMV — the cause of
 //!   LUMI's surprisingly low GEMV offload thresholds in the paper (§IV-B).
-//! - [`gemv`] — serial convenience wrapper over [`gemv_ref`].
 //!
 //! Every entry point validates its arguments through
 //! [`contract`](crate::contract) before touching any buffer and reports
@@ -82,24 +81,6 @@ pub fn gemv_ref<T: Scalar>(
         }
     }
     Ok(())
-}
-
-/// Serial GEMV (alias of the reference kernel — the column sweep *is* the
-/// efficient serial algorithm for column-major, non-transposed `A`).
-#[allow(clippy::too_many_arguments)]
-pub fn gemv<T: Scalar>(
-    m: usize,
-    n: usize,
-    alpha: T,
-    a: &[T],
-    lda: usize,
-    x: &[T],
-    incx: isize,
-    beta: T,
-    y: &mut [T],
-    incy: isize,
-) -> Result<(), ContractError> {
-    gemv_ref(m, n, alpha, a, lda, x, incx, beta, y, incy)
 }
 
 /// Row-block parallel GEMV.

@@ -15,7 +15,9 @@
 //! library heuristics against.
 //!
 //! ## Layout
-//! - [`scalar`] — the [`Scalar`](scalar::Scalar) abstraction over `f32`/`f64`
+//! - [`scalar`] — the [`Scalar`](scalar::Scalar) element-type contract,
+//!   implemented for `f32`/`f64` here and for bf16/f16 in [`half`], and
+//!   the [`Precision`](scalar::Precision) each element type carries
 //! - [`matrix`] — column-major matrix views and owned storage
 //! - [`gemv`] — matrix-vector multiply, serial and parallel
 //! - [`gemm`] — matrix-matrix multiply: reference, blocked, parallel
@@ -54,19 +56,19 @@
 //! `blob-check` static-analysis tool (`contract-guard` rule).
 //!
 //! ```
-//! use blob_blas::{gemm, gemm_ref};
+//! use blob_blas::{gemm_blocked, gemm_ref};
 //!
 //! // C = A·B for 2x2 column-major matrices
 //! let a = [1.0f64, 3.0, 2.0, 4.0]; // [[1, 2], [3, 4]]
 //! let b = [5.0f64, 7.0, 6.0, 8.0]; // [[5, 6], [7, 8]]
 //! let mut c = [0.0f64; 4];
-//! gemm(2, 2, 2, 1.0, &a, 2, &b, 2, 0.0, &mut c, 2).unwrap();
+//! gemm_blocked(2, 2, 2, 1.0, &a, 2, &b, 2, 0.0, &mut c, 2).unwrap();
 //! let mut want = [0.0f64; 4];
 //! gemm_ref(2, 2, 2, 1.0, &a, 2, &b, 2, 0.0, &mut want, 2).unwrap();
 //! assert_eq!(c, want);
 //! assert_eq!(c, [19.0, 43.0, 22.0, 50.0]);
 //! // a bad leading dimension is an error value, not a panic:
-//! assert!(gemm(2, 2, 2, 1.0, &a, 1, &b, 2, 0.0, &mut c, 2).is_err());
+//! assert!(gemm_blocked(2, 2, 2, 1.0, &a, 1, &b, 2, 0.0, &mut c, 2).is_err());
 //! ```
 
 // BLAS-convention entry points take the full cblas argument list.
@@ -91,11 +93,9 @@ pub mod tune;
 
 pub use contract::ContractError;
 pub use emul::{gemm_emul, gemv_emul, EmulReport};
-pub use gemm::{
-    gemm, gemm_blocked, gemm_blocked_tuned, gemm_blocked_with, gemm_parallel, gemm_ref, BlockConfig,
-};
-pub use gemv::{gemv, gemv_parallel, gemv_ref};
-pub use half::{gemm_half, Bf16, HalfScalar, F16};
+pub use gemm::{gemm_blocked, gemm_blocked_tuned, gemm_parallel, gemm_ref};
+pub use gemv::{gemv_parallel, gemv_ref};
+pub use half::{gemm_half, Bf16, F16};
 pub use matrix::Matrix;
 pub use microkernel::{Engine, Geometry};
 pub use pool::ThreadPool;

@@ -55,21 +55,6 @@ impl<T: Scalar> Matrix<T> {
         m
     }
 
-    /// Wraps an existing column-major buffer.
-    ///
-    /// # Panics
-    /// If `data.len() != ld * cols` or `ld < rows`.
-    pub fn from_vec(rows: usize, cols: usize, ld: usize, data: Vec<T>) -> Self {
-        assert!(ld >= rows, "leading dimension {ld} must be >= rows {rows}");
-        assert_eq!(data.len(), ld * cols, "buffer length must equal ld * cols");
-        Self {
-            rows,
-            cols,
-            ld,
-            data,
-        }
-    }
-
     /// Number of rows.
     #[inline]
     pub fn rows(&self) -> usize {
@@ -227,18 +212,6 @@ mod tests {
     #[should_panic(expected = "leading dimension")]
     fn ld_smaller_than_rows_panics() {
         let _ = Matrix::<f64>::zeros_ld(4, 2, 3);
-    }
-
-    #[test]
-    fn from_vec_validates_length() {
-        let m = Matrix::<f64>::from_vec(2, 2, 2, vec![1.0, 2.0, 3.0, 4.0]);
-        assert_eq!(m[(0, 1)], 3.0);
-    }
-
-    #[test]
-    #[should_panic(expected = "buffer length")]
-    fn from_vec_rejects_wrong_length() {
-        let _ = Matrix::<f64>::from_vec(2, 2, 2, vec![1.0; 5]);
     }
 
     #[test]

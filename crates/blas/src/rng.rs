@@ -51,12 +51,6 @@ impl XorShift64 {
         x.wrapping_mul(0x2545_F491_4F6C_DD1D)
     }
 
-    /// Next 32-bit value (upper half of the 64-bit output, which has the
-    /// better statistical quality for xorshift* generators).
-    pub fn next_u32(&mut self) -> u32 {
-        (self.next_u64() >> 32) as u32
-    }
-
     /// Uniform `f64` in `[0, 1)`.
     pub fn next_f64(&mut self) -> f64 {
         // 53 random mantissa bits / 2^53.
@@ -84,14 +78,6 @@ impl XorShift64 {
     /// correlating it with the parent stream.
     pub fn fork(&mut self) -> Self {
         Self::new(self.next_u64())
-    }
-}
-
-/// Fill a slice with uniform values in `[-1, 1)`, matching the value
-/// distribution the original `rand`-based harness used for checksum inputs.
-pub fn fill_uniform(rng: &mut XorShift64, out: &mut [f64]) {
-    for v in out.iter_mut() {
-        *v = rng.range_f64(-1.0, 1.0);
     }
 }
 

@@ -1,52 +1,39 @@
-//! The [`Scalar`] abstraction over the two floating-point precisions the
-//! benchmark evaluates (`f32` ⇒ SGEMM/SGEMV, `f64` ⇒ DGEMM/DGEMV).
+//! The [`Scalar`] abstraction over the element types the kernels run on:
+//! `f32` and `f64` here (SGEMM/SGEMV, DGEMM/DGEMV), and the bf16/f16
+//! storage formats in [`crate::half`].
 //!
 //! Keeping the kernel code generic over `Scalar` lets every kernel exist
-//! exactly once while the harness sweeps both precisions, mirroring how the
+//! exactly once while the harness sweeps every precision, mirroring how the
 //! C++ artifact templates its kernels over `float`/`double`.
 
 use crate::microkernel::{Engine, Geometry};
-use std::fmt::{Debug, Display};
-use std::iter::Sum;
-use std::ops::{Add, AddAssign, Div, DivAssign, Mul, MulAssign, Neg, Sub, SubAssign};
+use std::ops::{Add, Mul, MulAssign};
 
 /// A real scalar type usable in the BLAS kernels.
 ///
-/// Implemented for `f32` and `f64`. The bound set is intentionally minimal:
-/// arithmetic, comparison, a fused multiply-add, and conversions used by the
-/// FLOPs/GFLOP-per-second accounting.
+/// The bound set is exactly what the kernels, the operand slots and the
+/// benchmark call: arithmetic for the reference GEMM/GEMV, a fused
+/// multiply-add, and the f64 conversions the checksums and tolerances use.
+/// Everything else about the type — its size, its BLAS prefix, its unit
+/// roundoff — is read from its [`Precision`].
 pub trait Scalar:
     Copy
-    + Clone
-    + Debug
-    + Display
     + Default
     + PartialEq
-    + PartialOrd
     + Send
     + Sync
     + Add<Output = Self>
-    + Sub<Output = Self>
     + Mul<Output = Self>
-    + Div<Output = Self>
-    + Neg<Output = Self>
-    + AddAssign
-    + SubAssign
     + MulAssign
-    + DivAssign
-    + Sum
     + 'static
 {
     /// Additive identity.
     const ZERO: Self;
     /// Multiplicative identity.
     const ONE: Self;
-    /// Machine epsilon for this precision.
-    const EPSILON: Self;
-    /// Short BLAS prefix: `"s"` for `f32`, `"d"` for `f64`.
-    const PREFIX: char;
-    /// Size of one element in bytes.
-    const BYTES: usize;
+    /// The precision this element type realises: the tune profile's key,
+    /// the element size and every tolerance are read from it.
+    const PRECISION: Precision;
 
     /// The compute type GEMM packs into and accumulates in: the type itself
     /// for `f32`/`f64`, `f32` for the 16-bit storage formats.
@@ -58,20 +45,10 @@ pub trait Scalar:
 
     /// Fused multiply-add: `self * a + b` evaluated with a single rounding.
     fn mul_add(self, a: Self, b: Self) -> Self;
-    /// Absolute value.
-    fn abs(self) -> Self;
-    /// Square root.
-    fn sqrt(self) -> Self;
     /// Lossy conversion from `f64` (used for tolerances and test data).
     fn from_f64(v: f64) -> Self;
     /// Lossless widening to `f64` (used for checksums and error metrics).
     fn to_f64(self) -> f64;
-    /// Exact conversion from a small integer index (test data generation).
-    fn from_usize(v: usize) -> Self {
-        Self::from_f64(v as f64)
-    }
-    /// True if the value is finite (not NaN/inf).
-    fn is_finite(self) -> bool;
 
     /// Arch-specific GEMM micro-kernel hook: run the explicit-SIMD variant
     /// for `(engine, geom)` if one is instantiated for this element type,
@@ -100,13 +77,11 @@ pub trait Scalar:
 }
 
 macro_rules! impl_scalar {
-    ($t:ty, $prefix:expr, $ukernel:path, $axpy:path) => {
+    ($t:ty, $precision:expr, $ukernel:path, $axpy:path) => {
         impl Scalar for $t {
             const ZERO: Self = 0.0;
             const ONE: Self = 1.0;
-            const EPSILON: Self = <$t>::EPSILON;
-            const PREFIX: char = $prefix;
-            const BYTES: usize = std::mem::size_of::<$t>();
+            const PRECISION: Precision = $precision;
 
             type Acc = $t;
             #[inline(always)]
@@ -123,24 +98,12 @@ macro_rules! impl_scalar {
                 <$t>::mul_add(self, a, b)
             }
             #[inline(always)]
-            fn abs(self) -> Self {
-                <$t>::abs(self)
-            }
-            #[inline(always)]
-            fn sqrt(self) -> Self {
-                <$t>::sqrt(self)
-            }
-            #[inline(always)]
             fn from_f64(v: f64) -> Self {
                 v as $t
             }
             #[inline(always)]
             fn to_f64(self) -> f64 {
                 self as f64
-            }
-            #[inline(always)]
-            fn is_finite(self) -> bool {
-                <$t>::is_finite(self)
             }
 
             #[inline]
@@ -165,13 +128,13 @@ macro_rules! impl_scalar {
 
 impl_scalar!(
     f32,
-    's',
+    Precision::F32,
     crate::microkernel::ukernel_arch_f32,
     crate::microkernel::axpy_arch_f32
 );
 impl_scalar!(
     f64,
-    'd',
+    Precision::F64,
     crate::microkernel::ukernel_arch_f64,
     crate::microkernel::axpy_arch_f64
 );
@@ -329,16 +292,27 @@ mod tests {
     fn constants_match_std() {
         assert_eq!(f32::ZERO, 0.0f32);
         assert_eq!(f64::ONE, 1.0f64);
-        assert_eq!(<f32 as Scalar>::EPSILON, f32::EPSILON);
-        assert_eq!(<f64 as Scalar>::EPSILON, f64::EPSILON);
+        // machine epsilon is twice the unit roundoff
+        assert_eq!(
+            2.0 * f32::PRECISION.unit_roundoff(),
+            f64::from(f32::EPSILON)
+        );
+        assert_eq!(2.0 * f64::PRECISION.unit_roundoff(), f64::EPSILON);
+    }
+
+    /// `T`'s element size and tune profile key, both read from its
+    /// `PRECISION`.
+    fn sized_and_keyed<T: Scalar>(key: char) {
+        assert_eq!(T::PRECISION.bytes(), std::mem::size_of::<T>());
+        assert_eq!(crate::tune::key::<T>(), key);
     }
 
     #[test]
     fn prefixes_and_sizes() {
-        assert_eq!(<f32 as Scalar>::PREFIX, 's');
-        assert_eq!(<f64 as Scalar>::PREFIX, 'd');
-        assert_eq!(<f32 as Scalar>::BYTES, 4);
-        assert_eq!(<f64 as Scalar>::BYTES, 8);
+        sized_and_keyed::<f32>('s');
+        sized_and_keyed::<f64>('d');
+        sized_and_keyed::<crate::Bf16>('b');
+        sized_and_keyed::<crate::F16>('h');
         assert_eq!(Precision::F32.bytes(), 4);
         assert_eq!(Precision::F64.bytes(), 8);
         assert_eq!(Precision::F32.prefix(), 'S');
@@ -360,15 +334,6 @@ mod tests {
             assert_eq!(f64::from_f64(v), v);
             assert_eq!(f64::to_f64(v), v);
         }
-        assert_eq!(f32::from_usize(7), 7.0f32);
-        assert_eq!(f64::from_usize(1 << 20), (1u64 << 20) as f64);
-    }
-
-    #[test]
-    fn finiteness() {
-        assert!(1.0f64.is_finite());
-        assert!(!Scalar::is_finite(f64::NAN));
-        assert!(!Scalar::is_finite(f32::INFINITY));
     }
 
     #[test]

@@ -70,7 +70,7 @@ impl TunedKernel {
 /// `threads == 0` is a wildcard matching any thread count.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ProfileEntry {
-    /// BLAS prefix of the element type (`'s'` or `'d'`).
+    /// Profile key of the element type ([`key`]: `'s'` or `'d'`).
     pub prefix: char,
     /// Thread count this entry was tuned for (0 = any).
     pub threads: usize,
@@ -294,6 +294,12 @@ pub fn load_from(path: &Path) -> Result<Profile, TuneError> {
     Ok(profile)
 }
 
+/// The profile key of element type `T`: its BLAS prefix in lower case
+/// (`'s'`, `'d'`, `'b'`, `'h'`).
+pub const fn key<T: Scalar>() -> char {
+    T::PRECISION.prefix().to_ascii_lowercase()
+}
+
 /// The profile loaded once per process (None when absent/invalid — the
 /// fallback-to-defaults path).
 fn loaded() -> Option<&'static Profile> {
@@ -313,21 +319,23 @@ fn loaded() -> Option<&'static Profile> {
 /// degrade to the built-in default instead of faulting — the SIMD dispatch
 /// itself double-checks availability, so this is belt and braces.
 pub fn active<T: Scalar>(threads: usize) -> TunedKernel {
-    let builtin = TunedKernel::builtin(active_engine(), T::BYTES);
+    let bytes = T::PRECISION.bytes();
+    let builtin = TunedKernel::builtin(active_engine(), bytes);
     let Some(profile) = loaded() else {
         return builtin;
     };
+    let prefix = key::<T>();
     let found = profile
         .entries
         .iter()
-        .find(|e| e.prefix == T::PREFIX && e.threads == threads)
+        .find(|e| e.prefix == prefix && e.threads == threads)
         .or_else(|| {
             profile
                 .entries
                 .iter()
-                .find(|e| e.prefix == T::PREFIX && e.threads == 0)
+                .find(|e| e.prefix == prefix && e.threads == 0)
         })
-        .or_else(|| profile.entries.iter().find(|e| e.prefix == T::PREFIX));
+        .or_else(|| profile.entries.iter().find(|e| e.prefix == prefix));
     let Some(entry) = found else { return builtin };
     let mut k = entry.kernel;
     // Degrade engines the host cannot run (or that GPU_BLOB_NO_SIMD
@@ -335,7 +343,7 @@ pub fn active<T: Scalar>(threads: usize) -> TunedKernel {
     if !(k.engine.available() && active_engine() != Engine::Scalar) {
         k.engine = Engine::Scalar;
     }
-    if !supports(k.engine, k.geom, T::BYTES) && k.engine != Engine::Scalar {
+    if !supports(k.engine, k.geom, bytes) && k.engine != Engine::Scalar {
         k.engine = Engine::Scalar;
     }
     k
@@ -461,7 +469,8 @@ fn validate_kernel<T: Scalar>(kern: &TunedKernel) -> bool {
     if gemm_ref(m, n, k, alpha, &a, m, &b, k, beta, &mut want, m).is_err() {
         return false;
     }
-    let tol = T::EPSILON.to_f64() * (k as f64) * 16.0;
+    // machine epsilon is twice the unit roundoff
+    let tol = 2.0 * T::PRECISION.unit_roundoff() * (k as f64) * 16.0;
     got.iter().zip(want.iter()).all(|(g, w)| {
         let diff = (g.to_f64() - w.to_f64()).abs();
         let scale = w.to_f64().abs().max(1.0);
@@ -476,7 +485,8 @@ pub fn search<T: Scalar>(opts: &SearchOpts) -> SearchReport {
     let started = Instant::now();
     let over_budget = |extra: Duration| started.elapsed() + extra > opts.budget;
     let (dim, reps) = if opts.quick { (192, 2) } else { (384, 3) };
-    let builtin = TunedKernel::builtin(active_engine(), T::BYTES);
+    let bytes = T::PRECISION.bytes();
+    let builtin = TunedKernel::builtin(active_engine(), bytes);
 
     // Stage 1: engine × geometry at default blocking.
     let mut engines = vec![active_engine()];
@@ -489,7 +499,7 @@ pub fn search<T: Scalar>(opts: &SearchOpts) -> SearchReport {
     }
     let mut measurements: Vec<Measurement> = Vec::new();
     for &engine in &engines {
-        for &geom in candidates(engine, T::BYTES) {
+        for &geom in candidates(engine, bytes) {
             let kern = TunedKernel {
                 engine,
                 geom,
@@ -547,7 +557,7 @@ pub fn search<T: Scalar>(opts: &SearchOpts) -> SearchReport {
         winner = builtin;
     }
     SearchReport {
-        prefix: T::PREFIX,
+        prefix: key::<T>(),
         winner,
         probe_dim: dim,
         measurements,
@@ -591,6 +601,19 @@ mod tests {
         let text = p.encode();
         let back = Profile::parse(&text).expect("parse");
         assert_eq!(back, p);
+    }
+
+    #[test]
+    fn tracked_profile_parses_and_renders_byte_identically() {
+        let path = concat!(
+            env!("CARGO_MANIFEST_DIR"),
+            "/../../results/tuning/x86_64-avx512-c1.tune"
+        );
+        let text = std::fs::read_to_string(path).expect("tracked profile");
+        let p = Profile::parse(&text).expect("parse");
+        assert_eq!(p.encode(), text);
+        let keys: Vec<char> = p.entries.iter().map(|e| e.prefix).collect();
+        assert_eq!(keys, [key::<f32>(), key::<f64>()]);
     }
 
     #[test]

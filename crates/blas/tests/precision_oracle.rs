@@ -25,7 +25,7 @@ use blob_blas::rng::XorShift64;
 use blob_blas::scalar::{Precision, Scalar};
 use blob_blas::tune;
 use blob_blas::{
-    gemm_blocked, gemm_emul, gemm_half, gemm_parallel, gemm_ref, gemv_emul, Bf16, HalfScalar, F16,
+    gemm_blocked, gemm_emul, gemm_half, gemm_parallel, gemm_ref, gemv_emul, Bf16, F16,
 };
 
 const SHAPES: [(usize, usize); 3] = [(1, 1), (19, 9), (45, 37)];
@@ -191,7 +191,8 @@ fn f64_matches_the_f64_reference() {
 /// `T`'s GEMM through `gemm_parallel` (and, at one thread, `gemm_half`):
 /// within tolerance of the f64 reference, and bit-identical to the f32 GEMM
 /// of the widened operands with each element narrowed once.
-fn half<T: HalfScalar>(p: Precision, cases: &[Case]) {
+fn half<T: Scalar<Acc = f32>>(cases: &[Case]) {
+    let p = T::PRECISION;
     for (seed, case) in cases.iter().enumerate() {
         let (a, b, c0) = operands::<T>(case, seed as u64 + 1, 0);
         let want = reference(case, &a, &b, &c0);
@@ -256,8 +257,9 @@ fn half<T: HalfScalar>(p: Precision, cases: &[Case]) {
                     let once = T::narrow(c32[at]);
                     assert!(
                         c[at] == once || (c[at].to_f64().is_nan() && once.to_f64().is_nan()),
-                        "{p:?} {case:?}: C[{i},{j}] = {}, f32 path narrowed once = {once}",
-                        c[at]
+                        "{p:?} {case:?}: C[{i},{j}] = {}, f32 path narrowed once = {}",
+                        c[at].to_f64(),
+                        once.to_f64()
                     );
                 }
             }
@@ -267,12 +269,12 @@ fn half<T: HalfScalar>(p: Precision, cases: &[Case]) {
 
 #[test]
 fn bf16_is_the_f32_path_narrowed_once() {
-    half::<Bf16>(Precision::Bf16, &cases());
+    half::<Bf16>(&cases());
 }
 
 #[test]
 fn f16_is_the_f32_path_narrowed_once() {
-    half::<F16>(Precision::F16, &cases());
+    half::<F16>(&cases());
 }
 
 /// Large enough for `gemm_parallel` to split across three workers, with
@@ -294,7 +296,7 @@ fn split_half_gemm_narrows_once_per_element() {
             threads,
         })
         .collect();
-    half::<Bf16>(Precision::Bf16, &split);
+    half::<Bf16>(&split);
 }
 
 /// A second bf16 GEMM at 256³ on the same thread reuses the f32 packing

@@ -8,9 +8,10 @@
 //! Driven by `blob_core::testkit` (the in-repo proptest stand-in); a failing
 //! case prints its seed so it can be replayed with `testkit::run_case`.
 
+use blob_blas::gemm::BlockConfig;
 use blob_blas::{
-    gemm_blocked, gemm_blocked_with, gemm_parallel, gemm_ref, gemv_parallel, gemv_ref, BlockConfig,
-    Matrix,
+    gemm_blocked, gemm_blocked_tuned, gemm_parallel, gemm_ref, gemv_parallel, gemv_ref, tune,
+    Matrix, TunedKernel,
 };
 use blob_core::testkit::{forall, Config, Gen};
 
@@ -142,9 +143,13 @@ fn gemm_blocking_config_invariant() {
             m,
         )
         .unwrap();
+        let kern = TunedKernel {
+            block: BlockConfig::new(mc, kc, nc),
+            ..tune::active::<f64>(1)
+        };
         let mut c_cfg = Matrix::zeros(m, n);
-        gemm_blocked_with(
-            BlockConfig::new(mc, kc, nc),
+        gemm_blocked_tuned(
+            &kern,
             m,
             n,
             k,

@@ -34,8 +34,13 @@ fn fill<T: Scalar>(n: usize, seed: usize) -> Vec<T> {
         .collect()
 }
 
+/// Widened to f64, exactly: equal iff the elements are.
+fn wide<T: Scalar>(v: &[T]) -> Vec<f64> {
+    v.iter().map(|x| x.to_f64()).collect()
+}
+
 fn ukernel_agrees<T: Scalar>(engine: Engine) {
-    for &geom in candidates(engine, T::BYTES) {
+    for &geom in candidates(engine, T::PRECISION.bytes()) {
         for kc in [0usize, 1, 7, 64] {
             let a: Vec<T> = fill(kc * geom.mr, 1);
             let b: Vec<T> = fill(kc * geom.nr, 2);
@@ -45,8 +50,8 @@ fn ukernel_agrees<T: Scalar>(engine: Engine) {
             let mut scalar = seed;
             ukernel_dyn(geom, kc, &a, &b, &mut scalar);
             assert_eq!(
-                simd,
-                scalar,
+                wide(&simd),
+                wide(&scalar),
                 "ukernel {engine:?} {geom} kc={kc} ({}) diverged from scalar",
                 std::any::type_name::<T>()
             );
@@ -117,7 +122,8 @@ fn gemm_agrees<T: Scalar>(engine: Engine, geom: Geometry) {
         )
         .expect("scalar gemm");
         assert_eq!(
-            c_simd, c_scalar,
+            wide(&c_simd),
+            wide(&c_scalar),
             "gemm {engine:?} {geom} alpha/beta case diverged from scalar"
         );
     }
@@ -172,7 +178,11 @@ fn axpy_agrees<T: Scalar>(engine: Engine) {
         axpy_update_with(engine, w, &src, &mut simd);
         let mut scalar = seed;
         axpy_update_with(Engine::Scalar, w, &src, &mut scalar);
-        assert_eq!(simd, scalar, "axpy {engine:?} len={len} diverged");
+        assert_eq!(
+            wide(&simd),
+            wide(&scalar),
+            "axpy {engine:?} len={len} diverged"
+        );
     }
 }
 

@@ -141,10 +141,11 @@ pub const DOCS: [RuleDoc; 17] = [
     RuleDoc {
         name: "no-direct-kernel-in-dispatch",
         scope: "crates/dispatch/src except exec.rs, tests excluded",
-        pattern: "a `blob_blas` kernel invocation — `gemm_blocked(`, `gemm_blocked_with(`, \
-                  `gemm_parallel(`, `gemv_parallel(`, `gemm_ref(`, `gemv_ref(` (bare or \
-                  path-qualified), or a direct `blob_blas::gemm|gemv(` path — outside \
-                  the executor module (`BlasCall::gemm(…)` shape constructors don't match)",
+        pattern: "a call to any of the nine `blob_blas` GEMM/GEMV entry points — \
+                  `gemm_ref(`, `gemm_blocked(`, `gemm_blocked_tuned(`, `gemm_parallel(`, \
+                  `gemm_half(`, `gemm_emul(`, `gemv_ref(`, `gemv_parallel(`, `gemv_emul(` \
+                  (bare or path-qualified) — outside the executor module \
+                  (`BlasCall::gemm(…)` shape constructors don't match)",
         rationale: "the dispatch crate's contract is that every kernel invocation is a \
                     *decision*: exec.rs is the one sanctioned home for blob_blas calls, \
                     where the decide/complete pairing, history feedback and residency \

@@ -29,7 +29,7 @@ use blob_core::runner::{run_sweep, run_sweep_checkpointed, SweepConfig};
 use blob_core::trace;
 use blob_core::validate_call;
 use blob_core::wire::{self, Json};
-use blob_sim::{presets, Offload, Precision};
+use blob_sim::{presets, Precision};
 use std::time::Duration;
 
 fn main() {
@@ -569,8 +569,10 @@ fn run(args: &Args) {
             }
             let mut row = vec![iters.to_string()];
             for &o in &offloads {
-                let cells: Vec<Option<usize>> =
-                    sweeps.iter().map(|s| threshold_param_of(s, o)).collect();
+                let cells: Vec<Option<usize>> = sweeps
+                    .iter()
+                    .map(|s| s.threshold_record(o).map(|r| r.param))
+                    .collect();
                 row.push(precision_cells(&cells));
             }
             if !offloads.is_empty() {
@@ -656,10 +658,7 @@ fn run(args: &Args) {
             for &o in &offloads {
                 let cells: Vec<Option<usize>> = sweeps
                     .iter()
-                    .map(|s| {
-                        let t = s.threshold(o)?;
-                        s.records.iter().find(|r| r.kernel == t).map(|r| r.param)
-                    })
+                    .map(|s| s.threshold_record(o).map(|r| r.param))
                     .collect();
                 row.push(precision_cells(&cells));
             }
@@ -764,8 +763,9 @@ fn run_checkpointed(args: &Args, backend: &dyn Backend, ckpt_path: &std::path::P
     let mut row = vec![iters.to_string()];
     for &o in &offloads {
         row.push(
-            threshold_param_of(&sweep, o)
-                .map(|p| p.to_string())
+            sweep
+                .threshold_record(o)
+                .map(|r| r.param.to_string())
                 .unwrap_or_else(|| "-".to_string()),
         );
     }
@@ -829,14 +829,4 @@ fn run_json(args: &Args, backend: &dyn Backend, problems: &[Problem], precisions
         doc = doc.field("validation", Json::Arr(checks));
     }
     println!("{}", doc.build().encode_pretty());
-}
-
-/// Maps a sweep's threshold back to its size parameter for compact cells.
-fn threshold_param_of(sweep: &blob_core::runner::Sweep, offload: Offload) -> Option<usize> {
-    let t = sweep.threshold(offload)?;
-    sweep
-        .records
-        .iter()
-        .find(|r| r.kernel == t)
-        .map(|r| r.param)
 }

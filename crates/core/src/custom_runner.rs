@@ -3,7 +3,7 @@
 
 use crate::backend::Backend;
 use crate::custom::CustomProblem;
-use crate::runner::{measure_size, records_threshold, sweep_call, SizeRecord, SweepConfig};
+use crate::runner::{measure_size, sweep_call, threshold_record, SizeRecord, SweepConfig};
 use blob_sim::{Kernel, Offload, Precision};
 
 /// A completed sweep of a custom problem family.
@@ -25,7 +25,12 @@ impl CustomSweep {
     /// The offload threshold for `offload` (same §III-D semantics as the
     /// built-in problems).
     pub fn threshold(&self, offload: Offload) -> Option<Kernel> {
-        records_threshold(&self.records, offload)
+        self.threshold_record(offload).map(|r| r.kernel)
+    }
+
+    /// The record of the size at [`threshold`](CustomSweep::threshold).
+    pub fn threshold_record(&self, offload: Offload) -> Option<&SizeRecord> {
+        threshold_record(&self.records, offload)
     }
 }
 

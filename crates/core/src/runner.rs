@@ -367,9 +367,10 @@ impl SizeRecord {
     }
 }
 
-/// The offload threshold of a record series for `offload`: one scan of
-/// the records, no allocation. `None` when any size lacks a sample.
-pub(crate) fn records_threshold(records: &[SizeRecord], offload: Offload) -> Option<Kernel> {
+/// The record at the offload threshold of a record series for `offload`:
+/// one scan of the records, no allocation. `None` when any size lacks a
+/// sample.
+pub(crate) fn threshold_record(records: &[SizeRecord], offload: Offload) -> Option<&SizeRecord> {
     let i = threshold_scan(records.len(), |i| {
         let r = records.get(i)?;
         let gpu = r.gpu_sample(offload)?;
@@ -381,7 +382,7 @@ pub(crate) fn records_threshold(records: &[SizeRecord], offload: Offload) -> Opt
             .cpu_wins(),
         )
     })?;
-    records.get(i).map(|r| r.kernel)
+    records.get(i)
 }
 
 /// A completed sweep of one (problem type, precision, iteration count).
@@ -404,7 +405,13 @@ impl Sweep {
     /// first size from which the GPU durably wins, or `None` (the paper's
     /// `—`). Also `None` when the backend measured no GPU.
     pub fn threshold(&self, offload: Offload) -> Option<Kernel> {
-        records_threshold(&self.records, offload)
+        self.threshold_record(offload).map(|r| r.kernel)
+    }
+
+    /// The record of the size at [`threshold`](Sweep::threshold): its size
+    /// parameter, dimensions and measurements.
+    pub fn threshold_record(&self, offload: Offload) -> Option<&SizeRecord> {
+        threshold_record(&self.records, offload)
     }
 
     /// CPU GFLOP/s series (for plotting).

@@ -22,7 +22,7 @@ use blob_sim::BlasCall;
 // so request and response shapes are imported from the same module.
 pub use crate::wire::{
     advice_json, call_json, custom_sweep_json, kernel_json, offload_key, parse_precision,
-    parse_problem_id, precision_key, sweep_json,
+    parse_problem_id, precision_key, sweep_json, thresholds_json,
 };
 
 /// A request-validation failure: a stable machine-readable code plus a

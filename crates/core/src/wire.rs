@@ -711,10 +711,7 @@ pub fn sweep_json(s: &Sweep) -> Json {
         .field("label", s.problem.label())
         .field("precision", precision_key(s.precision))
         .field("iterations", s.iterations)
-        .field(
-            "thresholds",
-            thresholds_json(&s.records, |o| s.threshold(o)),
-        )
+        .field("thresholds", thresholds_json(&s.records))
         .field("records", records_json(&s.records))
         .build()
 }
@@ -728,38 +725,28 @@ pub fn custom_sweep_json(s: &crate::custom_runner::CustomSweep) -> Json {
         .field("label", s.problem.name.as_str())
         .field("precision", precision_key(s.precision))
         .field("iterations", s.iterations)
-        .field(
-            "thresholds",
-            thresholds_json(&s.records, |o| s.threshold(o)),
-        )
+        .field("thresholds", thresholds_json(&s.records))
         .field("records", records_json(&s.records))
         .build()
 }
 
-/// The per-offload threshold table: `{"once": {"param",...dims} | null, …}`
-/// over whichever offload strategies the records actually measured.
-fn thresholds_json(
-    records: &[crate::runner::SizeRecord],
-    threshold: impl Fn(Offload) -> Option<Kernel>,
-) -> Json {
+/// The per-offload threshold table of a sweep's records:
+/// `{"once": {"param",...dims} | null, …}` over whichever offload
+/// strategies the records actually measured — the `thresholds` field of
+/// [`sweep_json`] and of the `/v1/threshold` body.
+pub fn thresholds_json(records: &[crate::runner::SizeRecord]) -> Json {
     let offloads: Vec<Offload> = records
         .first()
         .map(|r| r.gpu.iter().map(|g| g.offload).collect())
         .unwrap_or_default();
     let mut thresholds = Json::obj();
     for &o in &offloads {
-        let cell = threshold(o).and_then(|kernel| {
-            records
-                .iter()
-                .find(|r| r.kernel == kernel)
-                .map(|r| (r.param, kernel))
-        });
-        let value = match cell {
-            Some((param, kernel)) => {
-                let Json::Obj(mut fields) = kernel_json(&kernel) else {
+        let value = match crate::runner::threshold_record(records, o) {
+            Some(r) => {
+                let Json::Obj(mut fields) = kernel_json(&r.kernel) else {
                     return Json::Null; // kernel_json always returns an object
                 };
-                fields.insert(0, ("param".to_string(), param.into()));
+                fields.insert(0, ("param".to_string(), r.param.into()));
                 Json::Obj(fields)
             }
             None => Json::Null,

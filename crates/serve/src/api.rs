@@ -34,7 +34,7 @@ use blob_core::fault;
 use blob_core::rng::XorShift64;
 use blob_core::runner::{run_sweep_pooled, SweepConfig, ThreadPool};
 use blob_core::schema::{
-    self, advice_json, call_json, kernel_json, offload_key, parse_problem_id, precision_key,
+    self, advice_json, call_json, offload_key, parse_problem_id, precision_key, thresholds_json,
     SchemaError,
 };
 use blob_core::trace;
@@ -42,7 +42,7 @@ use blob_core::wire::Json;
 use blob_core::{advise, Offload, Precision};
 use blob_dispatch::{Dispatcher, ModelExecutor};
 use blob_sim::firsttouch::PageState;
-use blob_sim::{presets, Kernel, SystemModel};
+use blob_sim::{presets, SystemModel};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex, PoisonError};
@@ -731,44 +731,14 @@ impl App {
 /// The cacheable part of a `/v1/threshold` response: the request echo plus
 /// the per-offload threshold table (no per-request fields).
 fn threshold_result_json(sweep: &blob_core::runner::Sweep) -> Json {
-    let offloads: Vec<Offload> = sweep
-        .records
-        .first()
-        .map(|r| r.gpu.iter().map(|g| g.offload).collect())
-        .unwrap_or_default();
-    let mut thresholds = Json::obj();
-    for &o in &offloads {
-        let cell: Json = match sweep.threshold(o) {
-            Some(kernel) => {
-                let param = sweep
-                    .records
-                    .iter()
-                    .find(|r| r.kernel == kernel)
-                    .map(|r| r.param);
-                threshold_cell(param, &kernel)
-            }
-            None => Json::Null,
-        };
-        thresholds = thresholds.field(offload_key(o), cell);
-    }
     Json::obj()
         .field("system", sweep.system.as_str())
         .field("problem", sweep.problem.id())
         .field("precision", precision_key(sweep.precision))
         .field("iterations", sweep.iterations)
         .field("sweep_points", sweep.records.len())
-        .field("thresholds", thresholds.build())
+        .field("thresholds", thresholds_json(&sweep.records))
         .build()
-}
-
-fn threshold_cell(param: Option<usize>, kernel: &Kernel) -> Json {
-    let Json::Obj(mut fields) = kernel_json(kernel) else {
-        return Json::Null; // kernel_json always returns an object
-    };
-    if let Some(p) = param {
-        fields.insert(0, ("param".to_string(), p.into()));
-    }
-    Json::Obj(fields)
 }
 
 #[cfg(test)]

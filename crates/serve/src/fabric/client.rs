@@ -308,7 +308,6 @@ impl Pool {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::io::Write as _;
     use std::net::TcpListener;
 
     /// A one-shot stub server: accepts one connection, optionally delays,

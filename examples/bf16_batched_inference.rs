@@ -14,7 +14,7 @@
 //! ```
 
 use gpu_blob::blas::scalar::Scalar;
-use gpu_blob::blas::{gemm, Bf16};
+use gpu_blob::blas::{gemm_blocked, Bf16};
 use gpu_blob::sim::{presets, Offload, Precision};
 
 /// One attention head's scores: Q·Kᵀ for `heads` heads of `seq × dim`,
@@ -23,7 +23,7 @@ fn run_heads<T: Scalar>(heads: usize, seq: usize, dim: usize, q: &[T], kt: &[T])
     let mut scores = vec![T::ZERO; seq * seq * heads];
     for (h, s) in scores.chunks_mut(seq * seq).enumerate() {
         let off = h * seq * dim;
-        gemm(
+        gemm_blocked(
             seq,
             seq,
             dim,
