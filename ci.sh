@@ -30,7 +30,10 @@
 #                               and the fabric tests — then the
 #                               bf16_batched_inference example runs, since
 #                               its f32/bf16 error asserts only fire when
-#                               it executes
+#                               it executes, and the quickstart,
+#                               offload_advisor and kmeans_planner examples
+#                               run on the models with their stdout diffed
+#                               against crates/bench/tests/golden/example_*.txt
 #   5. ledger self-tests        cargo test on ledger/ (its own workspace): a
 #                               public name the benchmark imports cannot
 #                               break here without failing CI first; then a
@@ -103,6 +106,10 @@ done
 echo "==> cargo test"
 cargo test -q --workspace --offline
 cargo run --release --offline --quiet --example bf16_batched_inference > /dev/null
+for example in quickstart offload_advisor kmeans_planner; do
+    cargo run --release --offline --quiet --example "$example" |
+        diff -u "crates/bench/tests/golden/example_$example.txt" -
+done
 
 echo "==> ledger self-tests (the benchmark still builds against the workspace)"
 cargo test -q --offline --manifest-path ledger/Cargo.toml

@@ -8,6 +8,7 @@
 //! `blob_core::trace` spans: the analysis layer renders what it is given
 //! and stays decoupled from the dispatcher's internals.
 
+use crate::plot::xml_escape;
 use crate::table::Table;
 
 /// One routing decision, as the dispatch replay reports it.
@@ -25,12 +26,6 @@ pub struct DispatchDecision {
     pub fellback: bool,
     /// Realized seconds charged to the call.
     pub realized_seconds: f64,
-}
-
-fn xml_escape(s: &str) -> String {
-    s.replace('&', "&amp;")
-        .replace('<', "&lt;")
-        .replace('>', "&gt;")
 }
 
 const CPU_COLOUR: &str = "#1f77b4";

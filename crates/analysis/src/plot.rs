@@ -196,7 +196,9 @@ pub fn svg_chart(title: &str, x_label: &str, y_label: &str, series: &[Series]) -
     svg
 }
 
-fn xml_escape(s: &str) -> String {
+/// Escapes text for an SVG document: every chart in this crate writes its
+/// titles, labels and names through here.
+pub(crate) fn xml_escape(s: &str) -> String {
     s.replace('&', "&amp;")
         .replace('<', "&lt;")
         .replace('>', "&gt;")

@@ -25,7 +25,7 @@ pub fn markdown_report(title: &str, sweeps: &[Sweep]) -> String {
         return out;
     }
     let system = &sweeps[0].system;
-    let problem = sweeps[0].problem;
+    let problem = &sweeps[0].problem;
     out.push_str(&format!(
         "- system: **{system}**\n- problem type: **{}** (`{}`)\n- sizes swept: {}\n\n",
         problem.label(),

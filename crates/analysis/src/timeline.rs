@@ -6,6 +6,7 @@
 //! spans recorded by the [`blob_core::trace`] plane, one lane per thread,
 //! one colour per span category, nesting shown by inset.
 
+use crate::plot::xml_escape;
 use blob_core::trace::Span;
 use blob_sim::{Phase, TraceEvent};
 
@@ -18,12 +19,6 @@ fn phase_colour(p: Phase) -> &'static str {
         Phase::UsmMigration => "#9467bd",
         Phase::UsmWriteback => "#8c564b",
     }
-}
-
-fn xml_escape(s: &str) -> String {
-    s.replace('&', "&amp;")
-        .replace('<', "&lt;")
-        .replace('>', "&gt;")
 }
 
 /// Renders labelled trace lanes as an SVG Gantt chart. Lanes share one time

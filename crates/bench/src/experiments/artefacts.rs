@@ -78,7 +78,7 @@ pub(super) fn validate(_dir: &Path) -> io::Result<String> {
     let (mut checked, mut failures) = (0, 0);
     for problem in Problem::all() {
         for precision in Precision::ALL {
-            let call = call_for(problem, precision, 33, &SweepConfig::paper(1));
+            let call = call_for(problem.family(), precision, 33, &SweepConfig::paper(1));
             let rep = blob_core::validate_call(&call, 0xB10B);
             checked += 1;
             if !rep.ok {

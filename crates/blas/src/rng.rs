@@ -19,6 +19,18 @@ pub fn splitmix64(mut z: u64) -> u64 {
     z ^ (z >> 31)
 }
 
+/// FNV-1a 64-bit hash of a byte string: the workspace's one
+/// no-dependency checksum and key hash. Guards against truncation and
+/// spreads short keys; it is not a defence against adversaries.
+pub fn fnv1a64(bytes: &[u8]) -> u64 {
+    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    for &b in bytes {
+        h ^= u64::from(b);
+        h = h.wrapping_mul(0x0000_0100_0000_01b3);
+    }
+    h
+}
+
 /// A deterministic xorshift64* PRNG.
 ///
 /// Not cryptographically secure; intended for test data, validation inputs
@@ -84,6 +96,12 @@ impl XorShift64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn fnv1a64_reference_vectors() {
+        assert_eq!(fnv1a64(b""), 0xcbf2_9ce4_8422_2325);
+        assert_eq!(fnv1a64(b"a"), 0xaf63_dc4c_8601_ec8c);
+    }
 
     #[test]
     fn same_seed_same_stream() {

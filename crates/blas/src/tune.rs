@@ -23,6 +23,7 @@
 
 use crate::gemm::{gemm_blocked_tuned, gemm_ref, BlockConfig};
 use crate::microkernel::{active_engine, candidates, supports, Engine, Geometry};
+use crate::rng::fnv1a64;
 use crate::scalar::Scalar;
 use std::path::{Path, PathBuf};
 use std::sync::OnceLock;
@@ -135,18 +136,6 @@ impl std::fmt::Display for TuneError {
 }
 
 impl std::error::Error for TuneError {}
-
-/// FNV-1a 64-bit hash — the profile's integrity checksum. Tiny and
-/// dependency-free; this guards against truncation/corruption, not
-/// adversaries.
-fn fnv1a64(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
 
 /// Identifies the hardware a profile is valid for: architecture, the best
 /// SIMD tier the CPU reports (ignoring `GPU_BLOB_NO_SIMD` — the

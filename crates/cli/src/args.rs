@@ -3,6 +3,8 @@
 //! the modelled systems and output control.
 
 use blob_core::problem::Problem;
+use blob_core::wire::{parse_precision, parse_problem_id};
+use blob_core::Family;
 use blob_sim::Precision;
 
 /// A command-line the binary cannot act on: which argument broke, and how.
@@ -103,8 +105,9 @@ pub struct Args {
     pub system: SystemChoice,
     /// Problems to run (`--problem <id>`, repeatable); empty = all 14.
     pub problems: Vec<Problem>,
-    /// Custom problem families (`--custom <spec>`, repeatable).
-    pub customs: Vec<blob_core::CustomProblem>,
+    /// Custom problem families (`--custom <spec>`, repeatable); they run
+    /// after the `--problem` types, through the same loop.
+    pub customs: Vec<Family>,
     /// Precisions to run; empty = both.
     pub precisions: Vec<Precision>,
     /// Directory for CSV output; `None` = no CSVs.
@@ -183,7 +186,9 @@ OPTIONS:
                          paper's systems; 'host' measures this machine's CPU
     --problem <ID>       run one problem type (repeatable; default: all 14)
     --custom <SPEC>      run a custom family, e.g. gemm:p,p,16p or gemv:32,p
-                         (dims: <f>p scaled, p/<d> ratio, <n> fixed)
+                         (dims: <f>p scaled, p/<d> ratio, <n> fixed;
+                         repeatable; runs after any --problem types with
+                         every option except --checkpoint)
     --precision <P>      f32 | f64 | bf16 | f16 | f64-emul[2-4]
                          (repeatable or comma-separated; default: f32,f64;
                          f64-emul runs the Ozaki-sliced f32 emulation)
@@ -239,14 +244,6 @@ fn parse_value<T: std::str::FromStr>(v: &str, flag: &'static str) -> Result<T, A
     })
 }
 
-/// Parses a problem-type id (as printed by `--list-problems`).
-pub fn parse_problem(id: &str) -> Result<Problem, ArgsError> {
-    Problem::all()
-        .into_iter()
-        .find(|p| p.id() == id)
-        .ok_or_else(|| ArgsError::UnknownProblem(id.to_string()))
-}
-
 /// Parses the full argument vector (without argv[0]).
 pub fn parse(argv: &[String]) -> Result<Args, ArgsError> {
     let mut args = Args::default();
@@ -262,16 +259,16 @@ pub fn parse(argv: &[String]) -> Result<Args, ArgsError> {
             "-d" => args.max_dim = parse_value(&next_value("-d", &mut it)?, "-d")?,
             "--step" => args.step = parse_value(&next_value("--step", &mut it)?, "--step")?,
             "--system" => args.system = SystemChoice::parse(&next_value("--system", &mut it)?)?,
-            "--problem" => args
-                .problems
-                .push(parse_problem(&next_value("--problem", &mut it)?)?),
+            "--problem" => {
+                let id = next_value("--problem", &mut it)?;
+                let problem = parse_problem_id(&id).ok_or(ArgsError::UnknownProblem(id))?;
+                args.problems.push(problem);
+            }
             "--custom" => {
                 let spec = next_value("--custom", &mut it)?;
-                let custom = blob_core::CustomProblem::parse(&spec).map_err(|reason| {
-                    ArgsError::BadCustomSpec {
-                        spec: spec.clone(),
-                        reason,
-                    }
+                let custom = Family::parse(&spec).map_err(|reason| ArgsError::BadCustomSpec {
+                    spec: spec.clone(),
+                    reason,
                 })?;
                 args.customs.push(custom);
             }
@@ -281,7 +278,7 @@ pub fn parse(argv: &[String]) -> Result<Args, ArgsError> {
                 let v = next_value("--precision", &mut it)?;
                 for part in v.split(',') {
                     let part = part.trim();
-                    match blob_core::wire::parse_precision(part) {
+                    match parse_precision(part) {
                         Some(p) => args.precisions.push(p),
                         None => return Err(ArgsError::UnknownPrecision(part.to_string())),
                     }

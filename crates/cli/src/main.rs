@@ -22,14 +22,13 @@ use blob_analysis::{
 };
 use blob_core::backend::{Backend, HostCpu};
 use blob_core::csv::write_to_dir;
-use blob_core::custom_runner::run_custom_sweep;
 use blob_core::fault;
 use blob_core::problem::Problem;
-use blob_core::runner::{run_sweep, run_sweep_checkpointed, SweepConfig};
+use blob_core::runner::{call_for, run_sweep, run_sweep_checkpointed, Sweep, SweepConfig};
 use blob_core::trace;
-use blob_core::validate_call;
 use blob_core::wire::{self, Json};
-use blob_sim::{presets, Precision};
+use blob_core::{validate_call, Family, ValidationReport};
+use blob_sim::{presets, BlasCall, Offload, Precision};
 use std::time::Duration;
 
 fn main() {
@@ -521,12 +520,19 @@ fn run(args: &Args) {
     }
 
     // --custom alone runs only the custom families; otherwise default to
-    // the artifact's full 14 problem types
-    let problems = if args.problems.is_empty() && args.customs.is_empty() {
+    // the artifact's full 14 problem types. Custom families run after the
+    // --problem types, through the same loop.
+    let builtins = if args.problems.is_empty() && args.customs.is_empty() {
         Problem::all()
     } else {
         args.problems.clone()
     };
+    let builtin_count = builtins.len();
+    let families: Vec<Family> = builtins
+        .into_iter()
+        .map(Family::from)
+        .chain(args.customs.iter().cloned())
+        .collect();
     let precisions: Vec<Precision> = if args.precisions.is_empty() {
         Precision::ALL.to_vec()
     } else {
@@ -534,50 +540,26 @@ fn run(args: &Args) {
     };
 
     if args.json {
-        run_json(args, backend, &problems, &precisions);
+        run_json(args, backend, &families, &precisions);
         return;
     }
 
     println!("GPU-BLOB | system: {}", backend.name());
     println!(
         "dims [{}, {}] step {} | iterations {:?} | {} problem type(s)\n",
-        args.min_dim,
-        args.max_dim,
-        args.step,
-        args.iterations,
-        problems.len()
+        args.min_dim, args.max_dim, args.step, args.iterations, builtin_count
     );
 
     let offloads = backend.offloads();
-    for problem in &problems {
-        let headers: Vec<String> = std::iter::once("Iterations".to_string())
-            .chain(offloads.iter().map(|o| o.label().to_string()))
-            .collect();
-        let mut table = Table::new(
-            format!(
-                "{} — offload thresholds ({})",
-                problem.label(),
-                precision_legend(&precisions)
-            ),
-            &headers.iter().map(String::as_str).collect::<Vec<_>>(),
-        );
+    for family in &families {
+        let mut table = threshold_table(family.label(), &precisions, &offloads);
         for &iters in &args.iterations {
             let cfg = SweepConfig::new(args.min_dim, args.max_dim, iters).with_step(args.step);
-            let mut sweeps = Vec::new();
-            for &precision in &precisions {
-                sweeps.push(run_sweep(backend, *problem, precision, &cfg));
-            }
-            let mut row = vec![iters.to_string()];
-            for &o in &offloads {
-                let cells: Vec<Option<usize>> = sweeps
-                    .iter()
-                    .map(|s| s.threshold_record(o).map(|r| r.param))
-                    .collect();
-                row.push(precision_cells(&cells));
-            }
-            if !offloads.is_empty() {
-                table.push_row(row);
-            }
+            let sweeps: Vec<Sweep> = precisions
+                .iter()
+                .map(|&precision| run_sweep(backend, family.clone(), precision, &cfg))
+                .collect();
+            table.push_row(threshold_row(iters, &sweeps, &offloads));
 
             if args.plot {
                 for sweep in &sweeps {
@@ -591,7 +573,7 @@ fn run(args: &Args) {
                     let title = format!(
                         "{} {} ({} iterations) on {}",
                         sweep.precision,
-                        problem.label(),
+                        family.label(),
                         iters,
                         backend.name()
                     );
@@ -607,22 +589,14 @@ fn run(args: &Args) {
         if offloads.is_empty() {
             println!(
                 "{} — CPU-only backend: no offload thresholds (CSV/plots still available)\n",
-                problem.label()
+                family.label()
             );
         } else {
             println!("{}", table.render());
         }
 
         if args.validate {
-            let p = problem.max_param(args.max_dim.min(128)).max(1);
-            for &precision in &precisions {
-                let call = blob_core::runner::call_for(
-                    *problem,
-                    precision,
-                    p,
-                    &SweepConfig::new(args.min_dim, args.max_dim, 1),
-                );
-                let rep = validate_call(&call, 0xB10B);
+            for (call, rep) in validate_family(args, family, &precisions) {
                 println!(
                     "validate {} {:?}: rel err {:.2e} -> {}",
                     call.routine(),
@@ -634,52 +608,59 @@ fn run(args: &Args) {
             println!();
         }
     }
+}
 
-    // user-defined problem families
-    for custom in &args.customs {
-        let headers: Vec<String> = std::iter::once("Iterations".to_string())
-            .chain(offloads.iter().map(|o| o.label().to_string()))
+/// The offload-threshold table of one family, before its rows: one column
+/// per offload strategy, titled with the swept precisions' legend.
+fn threshold_table(label: &str, precisions: &[Precision], offloads: &[Offload]) -> Table {
+    let headers: Vec<&str> = std::iter::once("Iterations")
+        .chain(offloads.iter().map(|o| o.label()))
+        .collect();
+    Table::new(
+        format!(
+            "{label} — offload thresholds ({})",
+            precision_legend(precisions)
+        ),
+        &headers,
+    )
+}
+
+/// One row of [`threshold_table`]: per offload strategy, each precision's
+/// threshold parameter (`—` where the GPU never durably wins).
+fn threshold_row(iters: u32, sweeps: &[Sweep], offloads: &[Offload]) -> Vec<String> {
+    let mut row = vec![iters.to_string()];
+    for &o in offloads {
+        let cells: Vec<Option<usize>> = sweeps
+            .iter()
+            .map(|s| s.threshold_record(o).map(|r| r.param))
             .collect();
-        let mut table = Table::new(
-            format!(
-                "{} — offload thresholds ({})",
-                custom.name,
-                precision_legend(&precisions)
-            ),
-            &headers.iter().map(String::as_str).collect::<Vec<_>>(),
-        );
-        for &iters in &args.iterations {
-            let cfg = SweepConfig::new(args.min_dim, args.max_dim, iters).with_step(args.step);
-            let sweeps: Vec<_> = precisions
-                .iter()
-                .map(|&precision| run_custom_sweep(backend, custom, precision, &cfg))
-                .collect();
-            let mut row = vec![iters.to_string()];
-            for &o in &offloads {
-                let cells: Vec<Option<usize>> = sweeps
-                    .iter()
-                    .map(|s| s.threshold_record(o).map(|r| r.param))
-                    .collect();
-                row.push(precision_cells(&cells));
-            }
-            if !offloads.is_empty() {
-                table.push_row(row);
-            }
-        }
-        if offloads.is_empty() {
-            println!(
-                "{} — CPU-only backend: no offload thresholds\n",
-                custom.name
-            );
-        } else {
-            println!("{}", table.render());
-        }
+        row.push(precision_cells(&cells));
     }
+    row
+}
+
+/// Checksum-validates one call per precision at a sample size of `family`
+/// (its largest parameter within `min(d, 128)`).
+fn validate_family(
+    args: &Args,
+    family: &Family,
+    precisions: &[Precision],
+) -> Vec<(BlasCall, ValidationReport)> {
+    let p = family.max_param(args.max_dim.min(128)).max(1);
+    let cfg = SweepConfig::new(args.min_dim, args.max_dim, 1);
+    precisions
+        .iter()
+        .map(|&precision| {
+            let call = call_for(family, precision, p, &cfg);
+            let rep = validate_call(&call, 0xB10B);
+            (call, rep)
+        })
+        .collect()
 }
 
 /// Writes one sweep's CSV, surfacing the error instead of panicking: a
 /// result file the harness could not produce must fail the run visibly.
-fn write_csv_or_die(dir: &std::path::Path, sweep: &blob_core::runner::Sweep) {
+fn write_csv_or_die(dir: &std::path::Path, sweep: &Sweep) {
     match write_to_dir(dir, sweep) {
         Ok(path) => eprintln!("wrote {}", path.display()),
         Err(e) => {
@@ -753,49 +734,25 @@ fn run_checkpointed(args: &Args, backend: &dyn Backend, ckpt_path: &std::path::P
         );
         return;
     }
-    let headers: Vec<String> = std::iter::once("Iterations".to_string())
-        .chain(offloads.iter().map(|o| o.label().to_string()))
-        .collect();
-    let mut table = Table::new(
-        format!("{} — offload thresholds ({})", problem.label(), precision),
-        &headers.iter().map(String::as_str).collect::<Vec<_>>(),
-    );
-    let mut row = vec![iters.to_string()];
-    for &o in &offloads {
-        row.push(
-            sweep
-                .threshold_record(o)
-                .map(|r| r.param.to_string())
-                .unwrap_or_else(|| "-".to_string()),
-        );
-    }
-    table.push_row(row);
+    let mut table = threshold_table(problem.label(), &[precision], &offloads);
+    table.push_row(threshold_row(iters, &[sweep], &offloads));
     println!("{}", table.render());
 }
 
 /// The `--json` output mode: the whole run as one document on stdout,
 /// through the shared wire encoder — nothing else is printed there, so the
 /// output pipes straight into `jq` or back into `wire::Json::parse`.
-fn run_json(args: &Args, backend: &dyn Backend, problems: &[Problem], precisions: &[Precision]) {
+fn run_json(args: &Args, backend: &dyn Backend, families: &[Family], precisions: &[Precision]) {
     let mut sweeps = Vec::new();
-    for problem in problems {
+    for family in families {
         for &iters in &args.iterations {
             let cfg = SweepConfig::new(args.min_dim, args.max_dim, iters).with_step(args.step);
             for &precision in precisions {
-                let sweep = run_sweep(backend, *problem, precision, &cfg);
+                let sweep = run_sweep(backend, family.clone(), precision, &cfg);
                 if let Some(dir) = &args.output {
                     write_csv_or_die(dir, &sweep);
                 }
                 sweeps.push(wire::sweep_json(&sweep));
-            }
-        }
-    }
-    for custom in &args.customs {
-        for &iters in &args.iterations {
-            let cfg = SweepConfig::new(args.min_dim, args.max_dim, iters).with_step(args.step);
-            for &precision in precisions {
-                let sweep = run_custom_sweep(backend, custom, precision, &cfg);
-                sweeps.push(wire::custom_sweep_json(&sweep));
             }
         }
     }
@@ -806,26 +763,17 @@ fn run_json(args: &Args, backend: &dyn Backend, problems: &[Problem], precisions
         .field("step", args.step)
         .field("sweeps", Json::Arr(sweeps));
     if args.validate {
-        let mut checks = Vec::new();
-        for problem in problems {
-            let p = problem.max_param(args.max_dim.min(128)).max(1);
-            for &precision in precisions {
-                let call = blob_core::runner::call_for(
-                    *problem,
-                    precision,
-                    p,
-                    &SweepConfig::new(args.min_dim, args.max_dim, 1),
-                );
-                let rep = validate_call(&call, 0xB10B);
-                checks.push(
-                    Json::obj()
-                        .field("call", wire::call_json(&call))
-                        .field("rel_err", rep.rel_err)
-                        .field("ok", rep.ok)
-                        .build(),
-                );
-            }
-        }
+        let checks = families
+            .iter()
+            .flat_map(|family| validate_family(args, family, precisions))
+            .map(|(call, rep)| {
+                Json::obj()
+                    .field("call", wire::call_json(&call))
+                    .field("rel_err", rep.rel_err)
+                    .field("ok", rep.ok)
+                    .build()
+            })
+            .collect();
         doc = doc.field("validation", Json::Arr(checks));
     }
     println!("{}", doc.build().encode_pretty());

@@ -255,6 +255,58 @@ fn json_mode_covers_custom_families() {
 }
 
 #[test]
+fn custom_square_json_matches_builtin_square() {
+    let args = ["--system", "lumi", "-i", "8", "-d", "64", "--json"];
+    let (custom, _, ok) = run(&[&args[..], &["--custom", "gemm:p,p,p"]].concat());
+    assert!(ok);
+    let (builtin, _, ok) = run(&[&args[..], &["--problem", "gemm_square"]].concat());
+    assert!(ok);
+    let renamed = custom
+        .replace(
+            "\"problem\": \"gemm:p,p,p\"",
+            "\"problem\": \"gemm_square\"",
+        )
+        .replace("\"label\": \"gemm:p,p,p\"", "\"label\": \"M=N=K\"");
+    assert_ne!(renamed, custom, "the custom document names its spec");
+    assert_eq!(renamed, builtin);
+}
+
+#[test]
+fn custom_family_honours_validate_plot_and_output() {
+    let dir = std::env::temp_dir().join(format!("blob_cli_custom_{}", std::process::id()));
+    let (stdout, _, ok) = run(&[
+        "--system",
+        "lumi",
+        "--custom",
+        "gemm:p,p,p/16",
+        "--precision",
+        "f32",
+        "-i",
+        "8",
+        "-d",
+        "64",
+        "--validate",
+        "--plot",
+        "--output",
+        dir.to_str().unwrap(),
+    ]);
+    assert!(ok);
+    assert!(
+        stdout.contains("gemm:p,p,p/16 (8 iterations) on LUMI"),
+        "{stdout}"
+    );
+    assert!(stdout.contains("validate SGEMM"));
+    assert!(stdout.contains("OK"));
+    assert!(!stdout.contains("FAIL"));
+    // `/` in the spec becomes `_` in the file name
+    let text = std::fs::read_to_string(dir.join("sgemm_gemm:p,p,p_16_i8.csv"))
+        .expect("custom CSV lands in the output directory");
+    let rows = blob_core::csv::parse_csv(&text).unwrap();
+    assert_eq!(rows.len(), 64 * 4); // cpu + 3 offloads per size
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
 fn traced_host_sweep_writes_chrome_trace_json() {
     use blob_core::wire::Json;
     let path = std::env::temp_dir().join("blob_cli_trace_e2e.json");

@@ -327,13 +327,9 @@ mod tests {
 
     fn sample() -> Checkpoint {
         let cfg = SweepConfig::new(1, 9, 2).with_step(2);
-        let sweep = run_sweep(
-            &presets::dawn(),
-            Problem::Gemm(GemmProblem::Square),
-            Precision::F32,
-            &cfg,
-        );
-        let mut ck = Checkpoint::new("DAWN", sweep.problem, sweep.precision, &cfg);
+        let problem = Problem::Gemm(GemmProblem::Square);
+        let sweep = run_sweep(&presets::dawn(), problem, Precision::F32, &cfg);
+        let mut ck = Checkpoint::new("DAWN", problem, sweep.precision, &cfg);
         ck.records = sweep.records;
         ck
     }

@@ -37,27 +37,22 @@ pub fn routine_label(precision: blob_sim::Precision, kind: blob_sim::KernelKind)
 
 fn rows_string(sweep: &Sweep) -> String {
     let routine = routine_label(sweep.precision, sweep.problem.kind());
+    // A custom family's id is its spec, whose dimensions are separated by
+    // commas; `;` keeps every row at 11 fields.
+    let problem = sweep.problem.id().replace(',', ";");
     let mut out = String::new();
     for r in &sweep.records {
         let (m, n, k) = r.kernel.dims();
         out.push_str(&format!(
             "{},{},{},cpu,none,{},{},{},{},{:.9e},{:.6}\n",
-            sweep.system,
-            routine,
-            sweep.problem.id(),
-            m,
-            n,
-            k,
-            sweep.iterations,
-            r.cpu_seconds,
-            r.cpu_gflops
+            sweep.system, routine, problem, m, n, k, sweep.iterations, r.cpu_seconds, r.cpu_gflops
         ));
         for g in &r.gpu {
             out.push_str(&format!(
                 "{},{},{},gpu,{},{},{},{},{},{:.9e},{:.6}\n",
                 sweep.system,
                 routine,
-                sweep.problem.id(),
+                problem,
                 g.offload.label().to_ascii_lowercase(),
                 m,
                 n,
@@ -87,13 +82,14 @@ pub fn to_csv_string(sweep: &Sweep) -> String {
 }
 
 /// The artifact's file-name convention for a sweep, e.g.
-/// `sgemm_gemm_square_i8.csv`.
+/// `sgemm_gemm_square_i8.csv`. A `/` in a custom family's id (the ratio
+/// rule `p/16`) becomes `_`.
 pub fn file_name(sweep: &Sweep) -> String {
     let prefix = routine_label(sweep.precision, sweep.problem.kind());
     format!(
         "{}_{}_i{}.csv",
         prefix,
-        sweep.problem.id(),
+        sweep.problem.id().replace('/', "_"),
         sweep.iterations
     )
 }

@@ -1,22 +1,23 @@
-//! User-defined problem types: arbitrary fixed relationships between
-//! kernel dimensions, beyond the paper's fourteen built-ins.
+//! Problem families: the fixed relationship between each of a BLAS
+//! kernel's dimensions (paper §III-C), one [`DimRule`] per dimension.
 //!
-//! The paper defines a problem type as "the fixed relationship between
-//! each of a BLAS kernel's specific dimensions" (§III-C). [`DimRule`]
-//! expresses one dimension as either a multiple of the size parameter or a
-//! constant, which covers every shape in Fig 1 *and* whatever a user's
-//! application actually does (e.g. a transformer FFN's `M=4N`):
+//! A [`Family`] covers every shape in Fig 1 — the 14 built-ins are rows of
+//! one table ([`Problem::family`](crate::problem::Problem::family)) — *and*
+//! whatever a user's application actually does (e.g. a transformer FFN's
+//! `M=4N`), parsed from a compact spec or built from rules:
 //!
 //! ```
-//! use blob_core::custom::{CustomProblem, DimRule};
+//! use blob_core::custom::{DimRule, Family};
 //! use blob_sim::Kernel;
 //!
 //! // M = 4N, K = N: a wide-projection GEMM family
-//! let p = CustomProblem::gemm("ffn_proj", DimRule::scaled(4), DimRule::scaled(1), DimRule::scaled(1));
+//! let p = Family::gemm("ffn_proj", DimRule::scaled(4), DimRule::scaled(1), DimRule::scaled(1));
 //! assert_eq!(p.dims(10), Kernel::Gemm { m: 40, n: 10, k: 10 });
+//! assert_eq!(Family::parse("gemm:4p,p,p").unwrap().dims(10), p.dims(10));
 //! ```
 
 use blob_sim::{Kernel, KernelKind};
+use std::borrow::Cow;
 
 /// How one dimension relates to the size parameter `p`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -53,6 +54,7 @@ impl DimRule {
     }
 
     /// The dimension for size parameter `p`.
+    #[inline]
     pub fn apply(&self, p: usize) -> usize {
         match *self {
             DimRule::Scaled(f) => f * p,
@@ -65,96 +67,119 @@ impl DimRule {
     fn max_param(&self, max_dim: usize) -> Option<usize> {
         match *self {
             DimRule::Scaled(f) => Some(max_dim / f),
-            DimRule::Ratio(f, d) => Some(max_dim * d / f),
-            DimRule::Fixed(v) => {
-                if v <= max_dim {
-                    None
-                } else {
-                    Some(0)
-                }
-            }
+            DimRule::Ratio(f, d) => Some(max_dim.saturating_mul(d) / f),
+            DimRule::Fixed(v) => (v > max_dim).then_some(0),
         }
     }
 }
 
-/// A user-defined problem type.
+/// A problem family: an id, a label, a kernel kind and one [`DimRule`]
+/// per dimension.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct CustomProblem {
-    /// Family name (used in output labels and file names).
-    pub name: String,
-    /// Kernel family the rules describe.
-    pub kind: KernelKind,
-    /// How the row dimension grows with the size parameter.
-    pub m: DimRule,
-    /// How the column dimension grows with the size parameter.
-    pub n: DimRule,
+pub struct Family {
+    id: Cow<'static, str>,
+    label: Cow<'static, str>,
+    kind: KernelKind,
+    m: DimRule,
+    n: DimRule,
     /// Ignored for GEMV.
-    pub k: DimRule,
+    k: DimRule,
 }
 
-impl CustomProblem {
-    /// A custom GEMM family.
-    pub fn gemm(name: impl Into<String>, m: DimRule, n: DimRule, k: DimRule) -> Self {
+impl Family {
+    /// A built-in table row.
+    pub(crate) const fn row(
+        id: &'static str,
+        label: &'static str,
+        kind: KernelKind,
+        [m, n, k]: [DimRule; 3],
+    ) -> Self {
         Self {
-            name: name.into(),
-            kind: KernelKind::Gemm,
+            id: Cow::Borrowed(id),
+            label: Cow::Borrowed(label),
+            kind,
             m,
             n,
             k,
         }
     }
 
-    /// A custom GEMV family.
-    pub fn gemv(name: impl Into<String>, m: DimRule, n: DimRule) -> Self {
+    fn custom(name: String, kind: KernelKind, m: DimRule, n: DimRule, k: DimRule) -> Self {
         Self {
-            name: name.into(),
-            kind: KernelKind::Gemv,
+            id: Cow::Owned(name.clone()),
+            label: Cow::Owned(name),
+            kind,
             m,
             n,
-            k: DimRule::Fixed(1),
+            k,
         }
+    }
+
+    /// A GEMM family named `name` (its id and its label).
+    pub fn gemm(name: impl Into<String>, m: DimRule, n: DimRule, k: DimRule) -> Self {
+        Self::custom(name.into(), KernelKind::Gemm, m, n, k)
+    }
+
+    /// A GEMV family named `name` (its id and its label).
+    pub fn gemv(name: impl Into<String>, m: DimRule, n: DimRule) -> Self {
+        Self::custom(name.into(), KernelKind::Gemv, m, n, DimRule::Fixed(1))
+    }
+
+    /// Identifier used in CSV rows and file names and on the wire: a
+    /// built-in's id (`gemm_square`), or a custom family's name.
+    pub fn id(&self) -> &str {
+        &self.id
+    }
+
+    /// Human-readable definition, e.g. `"M=N, K=16M"`; a custom family's
+    /// label is its name.
+    pub fn label(&self) -> &str {
+        &self.label
+    }
+
+    /// The kernel family the rules describe.
+    pub fn kind(&self) -> KernelKind {
+        self.kind
     }
 
     /// Concrete dimensions for size parameter `p` (≥ 1).
+    #[inline]
     pub fn dims(&self, p: usize) -> Kernel {
         let p = p.max(1);
+        let (m, n) = (self.m.apply(p), self.n.apply(p));
         match self.kind {
             KernelKind::Gemm => Kernel::Gemm {
-                m: self.m.apply(p),
-                n: self.n.apply(p),
+                m,
+                n,
                 k: self.k.apply(p),
             },
-            KernelKind::Gemv => Kernel::Gemv {
-                m: self.m.apply(p),
-                n: self.n.apply(p),
-            },
+            KernelKind::Gemv => Kernel::Gemv { m, n },
         }
     }
 
-    /// The largest size parameter whose dimensions all fit in `max_dim`
-    /// (0 when a fixed dimension already exceeds the range).
+    /// The largest size parameter whose dimensions all fit within `max_dim`
+    /// (the benchmark's `d` argument); 0 when a fixed dimension already
+    /// exceeds it.
     pub fn max_param(&self, max_dim: usize) -> usize {
-        let rules: &[&DimRule] = match self.kind {
-            KernelKind::Gemm => &[&self.m, &self.n, &self.k],
-            KernelKind::Gemv => &[&self.m, &self.n],
-        };
-        rules
+        [self.m, self.n, self.k]
             .iter()
             .filter_map(|r| r.max_param(max_dim))
-            .min()
-            .unwrap_or(max_dim)
-            .min(max_dim)
+            .fold(max_dim, usize::min)
     }
 
-    /// Size parameters to sweep for `[s, d]` with `step`.
+    /// The size parameters to sweep for user range `[s, d]` and `step`.
+    ///
+    /// Sweeps `p = s, s+step, …` up to [`max_param`](Self::max_param)`(d)`,
+    /// always including the top size so thresholds at the range edge are
+    /// observable. A family with a fixed dimension above `d` yields no
+    /// sizes.
     pub fn params(&self, s: usize, d: usize, step: usize) -> Vec<usize> {
         let lo = s.max(1);
         let hi = self.max_param(d);
         if hi < lo {
             return vec![];
         }
-        let step = step.max(1);
-        let mut out: Vec<usize> = (lo..=hi).step_by(step).collect();
+        let mut out: Vec<usize> = (lo..=hi).step_by(step.max(1)).collect();
         if out.last() != Some(&hi) {
             out.push(hi);
         }
@@ -164,7 +189,7 @@ impl CustomProblem {
     /// Parses a compact spec: `gemm:M,N,K` or `gemv:M,N` where each
     /// dimension is `<f>p` (scaled), `p/<d>` (ratio), or a number (fixed).
     /// Examples: `gemm:p,p,16p` (the paper's M=N, K=16M), `gemm:p,p,p/16`,
-    /// `gemv:32,p`.
+    /// `gemv:32,p`. The spec is the family's name.
     pub fn parse(spec: &str) -> Result<Self, String> {
         let (kind_s, dims_s) = spec
             .split_once(':')
@@ -173,20 +198,12 @@ impl CustomProblem {
             .split(',')
             .map(|d| parse_rule(d.trim()))
             .collect::<Result<_, _>>()?;
-        match kind_s.to_ascii_lowercase().as_str() {
-            "gemm" => {
-                if rules.len() != 3 {
-                    return Err("gemm spec needs 3 dimensions (M,N,K)".into());
-                }
-                Ok(CustomProblem::gemm(spec, rules[0], rules[1], rules[2]))
-            }
-            "gemv" => {
-                if rules.len() != 2 {
-                    return Err("gemv spec needs 2 dimensions (M,N)".into());
-                }
-                Ok(CustomProblem::gemv(spec, rules[0], rules[1]))
-            }
-            other => Err(format!("unknown kernel '{other}' (gemm or gemv)")),
+        match (kind_s.to_ascii_lowercase().as_str(), rules.as_slice()) {
+            ("gemm", &[m, n, k]) => Ok(Family::gemm(spec, m, n, k)),
+            ("gemv", &[m, n]) => Ok(Family::gemv(spec, m, n)),
+            ("gemm", _) => Err("gemm spec needs 3 dimensions (M,N,K)".into()),
+            ("gemv", _) => Err("gemv spec needs 2 dimensions (M,N)".into()),
+            (other, _) => Err(format!("unknown kernel '{other}' (gemm or gemv)")),
         }
     }
 }
@@ -231,7 +248,7 @@ mod tests {
     #[test]
     fn paper_problems_expressible() {
         // the paper's M=N, K=16M
-        let p = CustomProblem::gemm(
+        let p = Family::gemm(
             "tall_k",
             DimRule::scaled(1),
             DimRule::scaled(1),
@@ -247,7 +264,7 @@ mod tests {
         );
         assert_eq!(p.max_param(4096), 256);
         // M=N=32, K >= 1
-        let f = CustomProblem::gemm(
+        let f = Family::gemm(
             "fixed32",
             DimRule::fixed(32),
             DimRule::fixed(32),
@@ -263,7 +280,7 @@ mod tests {
         );
         assert_eq!(f.max_param(4096), 4096);
         // M=N, M=16K (K = M/16)
-        let s = CustomProblem::gemm(
+        let s = Family::gemm(
             "sixteenth",
             DimRule::scaled(1),
             DimRule::scaled(1),
@@ -281,14 +298,14 @@ mod tests {
 
     #[test]
     fn fixed_dim_larger_than_range_yields_no_params() {
-        let p = CustomProblem::gemv("too_big", DimRule::fixed(100), DimRule::scaled(1));
+        let p = Family::gemv("too_big", DimRule::fixed(100), DimRule::scaled(1));
         assert_eq!(p.max_param(64), 0);
         assert!(p.params(1, 64, 1).is_empty());
     }
 
     #[test]
     fn params_cover_range_with_endpoint() {
-        let p = CustomProblem::gemm(
+        let p = Family::gemm(
             "sq",
             DimRule::scaled(1),
             DimRule::scaled(1),
@@ -301,27 +318,36 @@ mod tests {
 
     #[test]
     fn parse_specs() {
-        let p = CustomProblem::parse("gemm:p,p,16p").unwrap();
+        let p = Family::parse("gemm:p,p,16p").unwrap();
         assert_eq!(p.dims(4), Kernel::Gemm { m: 4, n: 4, k: 64 });
-        let q = CustomProblem::parse("gemm:4p,p,p/2").unwrap();
+        let q = Family::parse("gemm:4p,p,p/2").unwrap();
         assert_eq!(q.dims(8), Kernel::Gemm { m: 32, n: 8, k: 4 });
-        let v = CustomProblem::parse("gemv:32,p").unwrap();
+        let v = Family::parse("gemv:32,p").unwrap();
         assert_eq!(v.dims(9), Kernel::Gemv { m: 32, n: 9 });
         assert_eq!(
-            CustomProblem::parse("gemv:p,p").unwrap().dims(3),
+            Family::parse("gemv:p,p").unwrap().dims(3),
             Kernel::Gemv { m: 3, n: 3 }
         );
     }
 
     #[test]
+    fn huge_ratio_divisor_saturates() {
+        // p/(2^64-1) overflowed `max_dim * divisor` before saturating
+        let p = Family::parse("gemm:p/18446744073709551615,p,p").unwrap();
+        assert_eq!(p.max_param(64), 64);
+        assert_eq!(p.params(1, 64, 1).len(), 64);
+        assert_eq!(p.dims(64), Kernel::Gemm { m: 1, n: 64, k: 64 });
+    }
+
+    #[test]
     fn parse_rejects_malformed() {
-        assert!(CustomProblem::parse("gemm").is_err());
-        assert!(CustomProblem::parse("gemm:p,p").is_err());
-        assert!(CustomProblem::parse("gemv:p,p,p").is_err());
-        assert!(CustomProblem::parse("trsm:p,p").is_err());
-        assert!(CustomProblem::parse("gemm:0p,p,p").is_err());
-        assert!(CustomProblem::parse("gemm:p,q,p").is_err());
-        assert!(CustomProblem::parse("gemm:p,p,p/0").is_err());
+        assert!(Family::parse("gemm").is_err());
+        assert!(Family::parse("gemm:p,p").is_err());
+        assert!(Family::parse("gemv:p,p,p").is_err());
+        assert!(Family::parse("trsm:p,p").is_err());
+        assert!(Family::parse("gemm:0p,p,p").is_err());
+        assert!(Family::parse("gemm:p,q,p").is_err());
+        assert!(Family::parse("gemm:p,p,p/0").is_err());
     }
 
     #[test]
@@ -329,7 +355,7 @@ mod tests {
         use crate::backend::Backend;
         use blob_sim::{presets, BlasCall, Offload, Precision};
         // run a custom family through the timing backend directly
-        let p = CustomProblem::parse("gemm:4p,p,p").unwrap();
+        let p = Family::parse("gemm:4p,p,p").unwrap();
         let sys = presets::isambard_ai();
         let mut prev = 0.0;
         for param in [8usize, 16, 32, 64] {

@@ -3,7 +3,9 @@
 //! The paper's primary contribution, as a library:
 //!
 //! - [`problem`] — the 14 problem types (square + non-square GEMM/GEMV)
-//!   the benchmark sweeps (§III-C, Fig 1)
+//!   the benchmark sweeps (§III-C, Fig 1), rows of one [`Family`] table
+//! - [`custom`] — [`Family`] and [`DimRule`]: a problem family as one rule
+//!   per dimension, built-in or parsed from a spec like `gemm:p,p,16p`
 //! - [`backend`] — timing sources: calibrated system models (`blob-sim`)
 //!   or real wall-clock measurement of this repo's own kernels
 //! - [`runner`] — the size sweep: CPU then each GPU transfer type per
@@ -45,7 +47,6 @@ pub mod backend;
 pub mod checkpoint;
 pub mod csv;
 pub mod custom;
-pub mod custom_runner;
 pub mod operands;
 pub mod problem;
 pub mod runner;
@@ -68,8 +69,7 @@ pub use blob_blas::{fault, rng};
 
 pub use advisor::{advise, advise_across, advise_from_parts, classify, Advice, Verdict};
 pub use backend::{Backend, HostCpu};
-pub use custom::{CustomProblem, DimRule};
-pub use custom_runner::{run_custom_sweep, CustomSweep};
+pub use custom::{DimRule, Family};
 pub use problem::{GemmProblem, GemvProblem, Problem};
 pub use runner::{
     run_sweep, run_sweep_pooled, ConfigError, GpuSample, GpuSamples, SizeRecord, Sweep,

@@ -8,6 +8,7 @@
 //! types, chosen so at least one input matrix is rectangular — the shapes
 //! real applications (k-means, LU, neural networks) actually use.
 
+use crate::custom::{DimRule, Family};
 use blob_sim::{Kernel, KernelKind};
 
 /// GEMM problem types (square + the eight non-square types of Table V).
@@ -114,129 +115,42 @@ impl Problem {
             .collect()
     }
 
+    /// This type's row of the built-in family table.
+    pub fn family(&self) -> &'static Family {
+        match *self {
+            Problem::Gemm(g) => &BUILTINS[g as usize],
+            Problem::Gemv(v) => &BUILTINS[GemmProblem::ALL.len() + v as usize],
+        }
+    }
+
     /// The kernel family this problem type drives.
     pub fn kind(&self) -> KernelKind {
-        match self {
-            Problem::Gemm(_) => KernelKind::Gemm,
-            Problem::Gemv(_) => KernelKind::Gemv,
-        }
+        self.family().kind()
     }
 
     /// Human-readable definition as the paper writes it, e.g. `"M=N, K=16M"`.
     pub fn label(&self) -> &'static str {
-        match self {
-            Problem::Gemm(GemmProblem::Square) => "M=N=K",
-            Problem::Gemm(GemmProblem::TallK) => "M=N, K=16M",
-            Problem::Gemm(GemmProblem::FixedMn32) => "M=N=32, K>=1",
-            Problem::Gemm(GemmProblem::TallM) => "K=N, M=16K",
-            Problem::Gemm(GemmProblem::FixedKn32) => "K=N=32, M>=1",
-            Problem::Gemm(GemmProblem::WideN) => "M=K, N=16K",
-            Problem::Gemm(GemmProblem::FixedMk32) => "M=K=32, N>=1",
-            Problem::Gemm(GemmProblem::SquareK32) => "M=N, K=32",
-            Problem::Gemm(GemmProblem::SixteenthK) => "M=N, M=16K",
-            Problem::Gemv(GemvProblem::Square) => "M=N",
-            Problem::Gemv(GemvProblem::TallM) => "M=16N",
-            Problem::Gemv(GemvProblem::FixedN32) => "N=32, M>=1",
-            Problem::Gemv(GemvProblem::WideN) => "N=16M",
-            Problem::Gemv(GemvProblem::FixedM32) => "M=32, N>=1",
-        }
+        self.family().label()
     }
 
     /// Filesystem-safe identifier used for CSV file names.
     pub fn id(&self) -> &'static str {
-        match self {
-            Problem::Gemm(GemmProblem::Square) => "gemm_square",
-            Problem::Gemm(GemmProblem::TallK) => "gemm_tall_k",
-            Problem::Gemm(GemmProblem::FixedMn32) => "gemm_fixed_mn32",
-            Problem::Gemm(GemmProblem::TallM) => "gemm_tall_m",
-            Problem::Gemm(GemmProblem::FixedKn32) => "gemm_fixed_kn32",
-            Problem::Gemm(GemmProblem::WideN) => "gemm_wide_n",
-            Problem::Gemm(GemmProblem::FixedMk32) => "gemm_fixed_mk32",
-            Problem::Gemm(GemmProblem::SquareK32) => "gemm_square_k32",
-            Problem::Gemm(GemmProblem::SixteenthK) => "gemm_sixteenth_k",
-            Problem::Gemv(GemvProblem::Square) => "gemv_square",
-            Problem::Gemv(GemvProblem::TallM) => "gemv_tall_m",
-            Problem::Gemv(GemvProblem::FixedN32) => "gemv_fixed_n32",
-            Problem::Gemv(GemvProblem::WideN) => "gemv_wide_n",
-            Problem::Gemv(GemvProblem::FixedM32) => "gemv_fixed_m32",
-        }
+        self.family().id()
     }
 
     /// Concrete dimensions for size parameter `p >= 1`.
     pub fn dims(&self, p: usize) -> Kernel {
-        let p = p.max(1);
-        match self {
-            Problem::Gemm(g) => {
-                let (m, n, k) = match g {
-                    GemmProblem::Square => (p, p, p),
-                    GemmProblem::TallK => (p, p, 16 * p),
-                    GemmProblem::FixedMn32 => (32, 32, p),
-                    GemmProblem::TallM => (16 * p, p, p),
-                    GemmProblem::FixedKn32 => (p, 32, 32),
-                    GemmProblem::WideN => (p, 16 * p, p),
-                    GemmProblem::FixedMk32 => (32, p, 32),
-                    GemmProblem::SquareK32 => (p, p, 32),
-                    GemmProblem::SixteenthK => (p, p, (p / 16).max(1)),
-                };
-                Kernel::Gemm { m, n, k }
-            }
-            Problem::Gemv(v) => {
-                let (m, n) = match v {
-                    GemvProblem::Square => (p, p),
-                    GemvProblem::TallM => (16 * p, p),
-                    GemvProblem::FixedN32 => (p, 32),
-                    GemvProblem::WideN => (p, 16 * p),
-                    GemvProblem::FixedM32 => (32, p),
-                };
-                Kernel::Gemv { m, n }
-            }
-        }
+        self.family().dims(p)
     }
 
-    /// The largest size parameter whose dimensions all fit within `max_dim`
-    /// (the benchmark's `d` argument).
+    /// See [`Family::max_param`].
     pub fn max_param(&self, max_dim: usize) -> usize {
-        let scaled_cap = max_dim / 16; // types with a 16x dimension
-        match self {
-            Problem::Gemm(GemmProblem::TallK)
-            | Problem::Gemm(GemmProblem::TallM)
-            | Problem::Gemm(GemmProblem::WideN)
-            | Problem::Gemv(GemvProblem::TallM)
-            | Problem::Gemv(GemvProblem::WideN) => scaled_cap,
-            _ => max_dim,
-        }
+        self.family().max_param(max_dim)
     }
 
-    /// The size parameters to sweep for user range `[s, d]` and `step`.
-    ///
-    /// Sweeps `p = s, s+step, …` up to [`max_param`](Self::max_param)`(d)`,
-    /// always including the top size so thresholds at the range edge are
-    /// observable. Problem types with a fixed dimension of 32 additionally
-    /// require `d >= 32` (otherwise they yield no sizes).
+    /// See [`Family::params`].
     pub fn params(&self, s: usize, d: usize, step: usize) -> Vec<usize> {
-        let needs_32 = matches!(
-            self,
-            Problem::Gemm(GemmProblem::FixedMn32)
-                | Problem::Gemm(GemmProblem::FixedKn32)
-                | Problem::Gemm(GemmProblem::FixedMk32)
-                | Problem::Gemm(GemmProblem::SquareK32)
-                | Problem::Gemv(GemvProblem::FixedN32)
-                | Problem::Gemv(GemvProblem::FixedM32)
-        );
-        if needs_32 && d < 32 {
-            return vec![];
-        }
-        let lo = s.max(1);
-        let hi = self.max_param(d);
-        if hi < lo {
-            return vec![];
-        }
-        let step = step.max(1);
-        let mut out: Vec<usize> = (lo..=hi).step_by(step).collect();
-        if out.last() != Some(&hi) {
-            out.push(hi);
-        }
-        out
+        self.family().params(s, d, step)
     }
 }
 
@@ -245,6 +159,37 @@ impl std::fmt::Display for Problem {
         f.write_str(self.label())
     }
 }
+
+impl From<Problem> for Family {
+    fn from(p: Problem) -> Family {
+        p.family().clone()
+    }
+}
+
+/// The 14 built-in families, in [`Problem::all`] order.
+static BUILTINS: [Family; 14] = {
+    use DimRule::{Fixed, Ratio, Scaled};
+    use KernelKind::{Gemm, Gemv};
+    const P: DimRule = Scaled(1);
+    const C32: DimRule = Fixed(32);
+    const ONE: DimRule = Fixed(1);
+    [
+        Family::row("gemm_square", "M=N=K", Gemm, [P, P, P]),
+        Family::row("gemm_tall_k", "M=N, K=16M", Gemm, [P, P, Scaled(16)]),
+        Family::row("gemm_fixed_mn32", "M=N=32, K>=1", Gemm, [C32, C32, P]),
+        Family::row("gemm_tall_m", "K=N, M=16K", Gemm, [Scaled(16), P, P]),
+        Family::row("gemm_fixed_kn32", "K=N=32, M>=1", Gemm, [P, C32, C32]),
+        Family::row("gemm_wide_n", "M=K, N=16K", Gemm, [P, Scaled(16), P]),
+        Family::row("gemm_fixed_mk32", "M=K=32, N>=1", Gemm, [C32, P, C32]),
+        Family::row("gemm_square_k32", "M=N, K=32", Gemm, [P, P, C32]),
+        Family::row("gemm_sixteenth_k", "M=N, M=16K", Gemm, [P, P, Ratio(1, 16)]),
+        Family::row("gemv_square", "M=N", Gemv, [P, P, ONE]),
+        Family::row("gemv_tall_m", "M=16N", Gemv, [Scaled(16), P, ONE]),
+        Family::row("gemv_fixed_n32", "N=32, M>=1", Gemv, [P, C32, ONE]),
+        Family::row("gemv_wide_n", "N=16M", Gemv, [P, Scaled(16), ONE]),
+        Family::row("gemv_fixed_m32", "M=32, N>=1", Gemv, [C32, P, ONE]),
+    ]
+};
 
 #[cfg(test)]
 mod tests {
@@ -363,6 +308,43 @@ mod tests {
         ids.dedup();
         assert_eq!(ids.len(), 14, "duplicate CSV ids");
         assert!(all.iter().all(|p| !p.label().is_empty()));
+    }
+
+    #[test]
+    fn builtin_specs_parse_to_their_rows() {
+        let specs = [
+            "gemm:p,p,p",
+            "gemm:p,p,16p",
+            "gemm:32,32,p",
+            "gemm:16p,p,p",
+            "gemm:p,32,32",
+            "gemm:p,16p,p",
+            "gemm:32,p,32",
+            "gemm:p,p,32",
+            "gemm:p,p,p/16",
+            "gemv:p,p",
+            "gemv:16p,p",
+            "gemv:p,32",
+            "gemv:p,16p",
+            "gemv:32,p",
+        ];
+        for (builtin, spec) in Problem::all().into_iter().zip(specs) {
+            let parsed = Family::parse(spec).unwrap();
+            for p in 1..=5000 {
+                assert_eq!(parsed.dims(p), builtin.dims(p), "{spec} p={p}");
+            }
+            for s in [1, 2, 16, 31, 32, 33, 100] {
+                for d in [1, 15, 16, 31, 32, 33, 64, 256, 4095, 4096, 10000] {
+                    for step in [1, 3, 16, 64] {
+                        assert_eq!(
+                            parsed.params(s, d, step),
+                            builtin.params(s, d, step),
+                            "{spec} s={s} d={d} step={step}"
+                        );
+                    }
+                }
+            }
+        }
     }
 
     #[test]

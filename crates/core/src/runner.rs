@@ -5,6 +5,7 @@
 
 use crate::backend::Backend;
 use crate::checkpoint::{Checkpoint, CheckpointError};
+use crate::custom::Family;
 use crate::fault;
 use crate::problem::Problem;
 use crate::threshold::{threshold_scan, ThresholdPoint};
@@ -33,7 +34,6 @@ pub struct SweepConfig {
     step: usize,
     alpha: f64,
     beta: f64,
-    precision: Option<Precision>,
 }
 
 impl SweepConfig {
@@ -56,7 +56,6 @@ impl SweepConfig {
             step: 1,
             alpha: 1.0,
             beta: 0.0,
-            precision: None,
         }
     }
 
@@ -70,7 +69,6 @@ impl SweepConfig {
             step: 1,
             alpha: 1.0,
             beta: 0.0,
-            precision: None,
         }
     }
 
@@ -108,13 +106,6 @@ impl SweepConfig {
     /// β for every call (default 0, the artifact's configuration).
     pub fn beta(&self) -> f64 {
         self.beta
-    }
-
-    /// The precision this config pins the sweep to, if any. `None` means
-    /// the caller decides (typically sweeping several precisions with one
-    /// shared config) — the pre-precision-plane behaviour.
-    pub fn precision(&self) -> Option<Precision> {
-        self.precision
     }
 
     /// The iteration counts the paper evaluates.
@@ -170,7 +161,6 @@ pub struct SweepConfigBuilder {
     step: usize,
     alpha: f64,
     beta: f64,
-    precision: Option<Precision>,
 }
 
 impl SweepConfigBuilder {
@@ -197,14 +187,6 @@ impl SweepConfigBuilder {
     pub fn scalars(mut self, alpha: f64, beta: f64) -> Self {
         self.alpha = alpha;
         self.beta = beta;
-        self
-    }
-
-    /// Pins the sweep to one precision (default: unset — the caller
-    /// supplies the precision per [`run_sweep`] invocation, so a single
-    /// config can drive a multi-precision sweep axis).
-    pub fn precision(mut self, precision: Precision) -> Self {
-        self.precision = Some(precision);
         self
     }
 
@@ -238,7 +220,6 @@ impl SweepConfigBuilder {
             step: self.step,
             alpha: self.alpha,
             beta: self.beta,
-            precision: self.precision,
         })
     }
 }
@@ -390,8 +371,8 @@ pub(crate) fn threshold_record(records: &[SizeRecord], offload: Offload) -> Opti
 pub struct Sweep {
     /// Backend name (system).
     pub system: String,
-    /// Problem type swept.
-    pub problem: Problem,
+    /// Problem family swept: a built-in row or a custom family.
+    pub problem: Family,
     /// Element precision of every measurement.
     pub precision: Precision,
     /// Iteration count of each timed loop.
@@ -432,33 +413,38 @@ impl Sweep {
 }
 
 /// Builds the call for one problem size under a sweep configuration.
-pub fn call_for(problem: Problem, precision: Precision, p: usize, cfg: &SweepConfig) -> BlasCall {
-    sweep_call(problem.dims(p), precision, cfg)
-}
-
-/// The call for dimensions `kernel` under a sweep configuration.
-pub(crate) fn sweep_call(kernel: Kernel, precision: Precision, cfg: &SweepConfig) -> BlasCall {
+pub fn call_for(problem: &Family, precision: Precision, p: usize, cfg: &SweepConfig) -> BlasCall {
     BlasCall {
-        kernel,
+        kernel: problem.dims(p),
         precision,
         alpha: cfg.alpha,
         beta: cfg.beta,
     }
 }
 
-/// Runs a full sweep of `problem` at `precision` on `backend`.
+/// Runs a full sweep of `problem` — a built-in [`Problem`] or any
+/// [`Family`] — at `precision` on `backend`.
 ///
 /// For every size parameter in range, the CPU is timed and then each
 /// available offload strategy is timed on the GPU — the artifact's
-/// interleaved collection order. A precision pinned on the config
-/// ([`SweepConfigBuilder::precision`]) overrides the argument.
+/// interleaved collection order.
 pub fn run_sweep(
     backend: &dyn Backend,
-    problem: Problem,
+    problem: impl Into<Family>,
     precision: Precision,
     cfg: &SweepConfig,
 ) -> Sweep {
-    let precision = cfg.precision.unwrap_or(precision);
+    sweep_family(backend, problem.into(), precision, cfg)
+}
+
+/// [`run_sweep`]'s body, kept out of the generic wrapper so the per-size
+/// loop compiles once, in this crate.
+fn sweep_family(
+    backend: &dyn Backend,
+    problem: Family,
+    precision: Precision,
+    cfg: &SweepConfig,
+) -> Sweep {
     let offloads = backend.offloads();
     let iters = cfg.iterations.max(1);
     let records = problem
@@ -468,7 +454,7 @@ pub fn run_sweep(
             measure_size(
                 backend,
                 p,
-                &call_for(problem, precision, p, cfg),
+                &call_for(&problem, precision, p, cfg),
                 iters,
                 &offloads,
             )
@@ -485,14 +471,13 @@ pub fn run_sweep(
 
 /// Measures size parameter `p`, whose call is `call`: CPU, then each
 /// offload strategy — the artifact's interleaved collection order.
-/// Built-in and custom problem families both sweep through here.
 ///
 /// The call comes by reference, built by the caller, so the models read
 /// it where it was written. Copying a just-built kernel into a fresh call
 /// here is one wide load over narrow stores: the CPU cannot forward it,
 /// and every size then waits for the previous one to retire (~30 ns a
 /// point on a modelled sweep).
-pub(crate) fn measure_size(
+fn measure_size(
     backend: &dyn Backend,
     p: usize,
     call: &BlasCall,
@@ -536,7 +521,7 @@ pub(crate) fn measure_size(
 /// being measured and corrupt each other's numbers.
 pub fn run_sweep_pooled<B>(
     backend: Arc<B>,
-    problem: Problem,
+    problem: impl Into<Family>,
     precision: Precision,
     cfg: &SweepConfig,
     pool: &ThreadPool,
@@ -544,7 +529,7 @@ pub fn run_sweep_pooled<B>(
 where
     B: Backend + Send + Sync + 'static,
 {
-    let precision = cfg.precision.unwrap_or(precision);
+    let problem = problem.into();
     let params = problem.params(cfg.min_dim, cfg.max_dim, cfg.step);
     let workers = pool.threads().min(params.len());
     if workers <= 1 {
@@ -567,11 +552,12 @@ where
         let backend = Arc::clone(&backend);
         let handed = Arc::clone(&handed);
         let offloads = offloads.clone();
+        let problem = problem.clone();
         batch.submit(move || {
             let records: Vec<SizeRecord> = chunk
                 .into_iter()
                 .map(|p| {
-                    let call = call_for(problem, precision, p, &cfg);
+                    let call = call_for(&problem, precision, p, &cfg);
                     measure_size(backend.as_ref(), p, &call, iters, &offloads)
                 })
                 .collect();
@@ -585,7 +571,7 @@ where
     }
     let mut records = Vec::with_capacity(params.len());
     records.extend(first.iter().map(|&p| {
-        let call = call_for(problem, precision, p, &cfg);
+        let call = call_for(&problem, precision, p, &cfg);
         measure_size(backend.as_ref(), p, &call, iters, &offloads)
     }));
     batch.wait();
@@ -704,8 +690,8 @@ pub fn run_sweep_checkpointed(
     resume: bool,
     size_budget: Option<Duration>,
 ) -> Result<CheckpointedRun, CheckpointError> {
-    let precision = cfg.precision.unwrap_or(precision);
-    let params = problem.params(cfg.min_dim, cfg.max_dim, cfg.step);
+    let family = problem.family();
+    let params = family.params(cfg.min_dim, cfg.max_dim, cfg.step);
     let offloads = backend.offloads();
     let iters = cfg.iterations.max(1);
     let system = backend.name();
@@ -743,7 +729,7 @@ pub fn run_sweep_checkpointed(
         let rec = measure_size(
             backend,
             p,
-            &call_for(problem, precision, p, cfg),
+            &call_for(family, precision, p, cfg),
             iters,
             &offloads,
         );
@@ -773,7 +759,7 @@ pub fn run_sweep_checkpointed(
     Ok(CheckpointedRun {
         sweep: Sweep {
             system,
-            problem,
+            problem: family.clone(),
             precision,
             iterations: iters,
             records: ck.records,
@@ -786,6 +772,7 @@ pub fn run_sweep_checkpointed(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::custom::DimRule;
     use crate::problem::{GemmProblem, GemvProblem};
     use blob_sim::{presets, SystemModel};
 
@@ -807,34 +794,6 @@ mod tests {
             assert_eq!(r.gpu.len(), 3, "three offload strategies per size");
             assert!(r.cpu_gflops > 0.0);
         }
-    }
-
-    #[test]
-    fn builder_pinned_precision_overrides_the_argument() {
-        let sys = presets::dawn();
-        let cfg = SweepConfig::builder()
-            .dims(1, 8)
-            .precision(Precision::Bf16)
-            .build()
-            .unwrap();
-        assert_eq!(cfg.precision(), Some(Precision::Bf16));
-        let sweep = run_sweep(
-            &sys,
-            Problem::Gemm(GemmProblem::Square),
-            Precision::F32, // overridden by the pinned bf16
-            &cfg,
-        );
-        assert_eq!(sweep.precision, Precision::Bf16);
-        // an unpinned config keeps the argument — the historical behaviour
-        let plain = SweepConfig::new(1, 8, 1);
-        assert_eq!(plain.precision(), None);
-        let sweep = run_sweep(
-            &sys,
-            Problem::Gemm(GemmProblem::Square),
-            Precision::F32,
-            &plain,
-        );
-        assert_eq!(sweep.precision, Precision::F32);
     }
 
     #[test]
@@ -1087,6 +1046,59 @@ mod tests {
         // `new` clamps trusted inputs into the invariants instead
         assert_eq!(SweepConfig::new(0, 0, 1).min_dim(), 1);
         assert_eq!(SweepConfig::new(0, 0, 1).max_dim(), 1);
+    }
+
+    #[test]
+    fn custom_square_matches_builtin_square() {
+        let sys = presets::lumi();
+        let cfg = SweepConfig::new(1, 128, 8);
+        let custom = Family::parse("gemm:p,p,p").unwrap();
+        let cs = run_sweep(&sys, custom, Precision::F32, &cfg);
+        let bs = run_sweep(
+            &sys,
+            Problem::Gemm(GemmProblem::Square),
+            Precision::F32,
+            &cfg,
+        );
+        assert_eq!(cs.records, bs.records);
+        assert_eq!(
+            cs.threshold(Offload::TransferOnce),
+            bs.threshold(Offload::TransferOnce)
+        );
+        assert_eq!(
+            (cs.problem.id(), bs.problem.id()),
+            ("gemm:p,p,p", "gemm_square")
+        );
+    }
+
+    #[test]
+    fn transformer_family_thresholds() {
+        // M = 4N, K = N: the FFN projection family from the `custom` docs
+        let sys = presets::isambard_ai();
+        let p = Family::gemm(
+            "ffn",
+            DimRule::scaled(4),
+            DimRule::scaled(1),
+            DimRule::scaled(1),
+        );
+        let cfg = SweepConfig::new(1, 1024, 8);
+        let sweep = run_sweep(&sys, p, Precision::F32, &cfg);
+        // all dims within range: max param = 1024/4 = 256
+        assert_eq!(sweep.records.last().unwrap().param, 256);
+        assert!(sweep.threshold(Offload::TransferOnce).is_some());
+    }
+
+    #[test]
+    fn custom_gemv_family() {
+        let sys = presets::dawn();
+        let p = Family::parse("gemv:2p,p").unwrap();
+        let cfg = SweepConfig::new(1, 200, 32);
+        let sweep = run_sweep(&sys, p, Precision::F64, &cfg);
+        assert!(!sweep.records.is_empty());
+        assert!(sweep.records.iter().all(|r| {
+            let (m, n, _) = r.kernel.dims();
+            m == 2 * n
+        }));
     }
 
     #[test]

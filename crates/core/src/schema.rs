@@ -21,8 +21,8 @@ use blob_sim::BlasCall;
 // The response-side encoders (and the scalar enum parsers), re-exported
 // so request and response shapes are imported from the same module.
 pub use crate::wire::{
-    advice_json, call_json, custom_sweep_json, kernel_json, offload_key, parse_precision,
-    parse_problem_id, precision_key, sweep_json, thresholds_json,
+    advice_json, call_json, kernel_json, offload_key, parse_precision, parse_problem_id,
+    precision_key, sweep_json, thresholds_json,
 };
 
 /// A request-validation failure: a stable machine-readable code plus a

@@ -702,27 +702,13 @@ pub fn advice_json(a: &Advice) -> Json {
 }
 
 /// Encodes one sweep, including per-size records and the offload-threshold
-/// table — the document `gpu-blob --json` emits per (problem, precision,
-/// iteration count).
+/// table — the document `gpu-blob --json` emits per (problem family,
+/// precision, iteration count).
 pub fn sweep_json(s: &Sweep) -> Json {
     Json::obj()
         .field("system", s.system.as_str())
         .field("problem", s.problem.id())
         .field("label", s.problem.label())
-        .field("precision", precision_key(s.precision))
-        .field("iterations", s.iterations)
-        .field("thresholds", thresholds_json(&s.records))
-        .field("records", records_json(&s.records))
-        .build()
-}
-
-/// Encodes a custom-family sweep in the same document shape as
-/// [`sweep_json`] (the `problem` field carries the family name).
-pub fn custom_sweep_json(s: &crate::custom_runner::CustomSweep) -> Json {
-    Json::obj()
-        .field("system", s.system.as_str())
-        .field("problem", s.problem.name.as_str())
-        .field("label", s.problem.name.as_str())
         .field("precision", precision_key(s.precision))
         .field("iterations", s.iterations)
         .field("thresholds", thresholds_json(&s.records))

@@ -5,7 +5,7 @@
 //! replay with `testkit::run_case`.
 
 use blob_core::csv::{parse_csv, to_csv_string};
-use blob_core::custom::CustomProblem;
+use blob_core::custom::Family;
 use blob_core::problem::{GemmProblem, GemvProblem, Problem};
 use blob_core::runner::{run_sweep, SweepConfig};
 use blob_core::testkit::{forall, Config, Gen};
@@ -104,7 +104,7 @@ fn custom_specs_well_behaved() {
         let kdiv = g.usize_in(1, 19);
         let d = g.usize_in(64, 2047);
         let spec = format!("gemm:{mf}p,{nf}p,p/{kdiv}");
-        let p = CustomProblem::parse(&spec).unwrap();
+        let p = Family::parse(&spec).unwrap();
         for param in p.params(1, d, 7) {
             let (m, n, k) = p.dims(param).dims();
             assert_eq!(m, mf * param);

@@ -219,7 +219,7 @@ fn threshold_scan_matches_the_slice_detector_and_the_definition() {
             .collect();
         let mut sweep = Sweep {
             system: "prop".to_string(),
-            problem: Problem::Gemm(GemmProblem::Square),
+            problem: Problem::Gemm(GemmProblem::Square).into(),
             precision: Precision::F32,
             iterations: 1,
             records,

@@ -12,6 +12,7 @@
 //! second insert simply replaces the first — acceptable for an idempotent,
 //! deterministic computation, and it keeps the fast path lock-short.
 
+use blob_core::rng::fnv1a64;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
@@ -91,14 +92,9 @@ pub struct ShardedCache<V> {
     capacity: usize,
 }
 
-/// FNV-1a, the workspace's standard no-dependency string hash.
+/// The shard hash of a key: [`fnv1a64`] of its bytes.
 fn fnv1a(key: &str) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for b in key.as_bytes() {
-        h ^= *b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
+    fnv1a64(key.as_bytes())
 }
 
 impl<V> ShardedCache<V> {

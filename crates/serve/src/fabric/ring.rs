@@ -11,6 +11,8 @@
 //! for baselines and trace ids — which is plenty for placement: the keys
 //! are short `system|op|bucket` strings, not adversarial input.
 
+use blob_core::rng::{fnv1a64, splitmix64};
+
 /// Virtual nodes per shard. 64 points keeps the per-shard keyspace share
 /// within a few percent of `1/n` for the shard counts the fabric targets
 /// (2–16) while the ring stays small enough to scan linearly.
@@ -21,16 +23,7 @@ pub const VNODES: usize = 64;
 /// keys (`shard-0-vnode-1` vs `shard-0-vnode-2`), which skews the ring
 /// badly; the finalizer spreads every input bit across the whole word.
 pub fn hash64(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h ^= h >> 30;
-    h = h.wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    h ^= h >> 27;
-    h = h.wrapping_mul(0x94d0_49bb_1331_11eb);
-    h ^ (h >> 31)
+    splitmix64(fnv1a64(bytes))
 }
 
 /// The shape bucket of a call: `log2` of its largest dimension. Requests
